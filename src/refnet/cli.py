@@ -6,13 +6,14 @@ Four subcommands cover the full workflow:
   forest heuristic (with repetitions or the exact-cover variant); reports
   the retained rows and the rows to reflect.
 * ``exact``   -- same pipeline but solve minimum balanced deletion exactly
-  under a wall-clock timeout; a timeout is a result, not a failure.
+  under a wall-clock timeout; a timeout is a result, not a failure, and
+  reports the proven lower bound reached.
 * ``bench``   -- run all nine heuristic configurations plus the exact solver
   over a directory of instances and emit a CSV with summary footer rows.
 * ``scale``   -- apply the scaling stages and write the coordinate format.
 
 Exit codes: 0 on success (including exact-solver timeouts), 2 for malformed
-input files, 3 for I/O errors.
+input files and out-of-range options, 3 for I/O errors.
 """
 
 from __future__ import annotations
@@ -134,6 +135,7 @@ def cmd_exact(args: argparse.Namespace) -> int:
             "n": graph.n,
             "status": "max-k-exhausted",
             "k": "---",
+            "lower_bound": args.max_k + 1,
             "detail": str(exc),
         }
         _emit(payload, args.out, sys.stdout)
@@ -144,6 +146,7 @@ def cmd_exact(args: argparse.Namespace) -> int:
             "n": graph.n,
             "status": "timeout",
             "k": "---",
+            "lower_bound": result.lower_bound,
             "elapsed_s": round(result.elapsed, 4),
         }
     else:
@@ -153,6 +156,7 @@ def cmd_exact(args: argparse.Namespace) -> int:
             "n": graph.n,
             "status": result.status,
             "k": result.k,
+            "lower_bound": result.lower_bound,
             "deleted_rows": _row_names(matrix, deletion_rows),
             "elapsed_s": round(result.elapsed, 4),
             "splits_explored": result.nodes_explored,
@@ -319,6 +323,21 @@ def cmd_bench(args: argparse.Namespace) -> int:
     return 0
 
 
+def _at_least(convert, minimum):
+    """argparse type: ``convert`` the text and require at least ``minimum``."""
+
+    def parse(text: str):
+        try:
+            value = convert(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid value {text!r}") from None
+        if not value >= minimum:  # also rejects a float NaN
+            raise argparse.ArgumentTypeError(f"must be >= {minimum}, got {text!r}")
+        return value
+
+    return parse
+
+
 def _add_common_input(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--format", choices=("auto", "mps", "coord"), default="auto")
     parser.add_argument("--no-scaling", action="store_true", help="skip the scaling stage")
@@ -340,27 +359,27 @@ def build_parser() -> argparse.ArgumentParser:
     p_extract.add_argument("file")
     _add_common_input(p_extract)
     p_extract.add_argument("--forest", choices=("rs", "bfs", "dfs"), default="dfs")
-    p_extract.add_argument("--repeats", type=int, default=1)
+    p_extract.add_argument("--repeats", type=_at_least(int, 1), default=1)
     p_extract.add_argument("--seed", type=int, default=1)
     p_extract.add_argument("--vc", action="store_true", help="exact cover instead of greedy")
-    p_extract.add_argument("--vc-budget", type=int, default=None)
+    p_extract.add_argument("--vc-budget", type=_at_least(int, 0), default=None)
     p_extract.add_argument("--out", choices=("table", "json", "csv"), default="table")
     p_extract.set_defaults(func=cmd_extract)
 
     p_exact = sub.add_parser("exact", help="solve minimum balanced deletion exactly")
     p_exact.add_argument("file")
     _add_common_input(p_exact)
-    p_exact.add_argument("--timeout", type=float, default=3600.0)
-    p_exact.add_argument("--max-k", type=int, default=None)
+    p_exact.add_argument("--timeout", type=_at_least(float, 0), default=3600.0)
+    p_exact.add_argument("--max-k", type=_at_least(int, 0), default=None)
     p_exact.add_argument("--out", choices=("table", "json", "csv"), default="table")
     p_exact.set_defaults(func=cmd_exact)
 
     p_bench = sub.add_parser("bench", help="benchmark a directory of instances")
     p_bench.add_argument("dir")
-    p_bench.add_argument("--timeout", type=float, default=3600.0)
+    p_bench.add_argument("--timeout", type=_at_least(float, 0), default=3600.0)
     p_bench.add_argument("--seed", type=int, default=1)
     p_bench.add_argument("--out", default=None, help="CSV path (stdout when omitted)")
-    p_bench.add_argument("--jobs", type=int, default=1)
+    p_bench.add_argument("--jobs", type=_at_least(int, 1), default=1)
     p_bench.add_argument("--no-scaling", action="store_true")
     p_bench.add_argument("--scale-fixpoint", action="store_true")
     p_bench.set_defaults(func=cmd_bench)

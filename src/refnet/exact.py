@@ -9,23 +9,26 @@ always swap it for an endpoint of its edge.
 
 Bipartization itself is solved by iterative compression: vertices are
 inserted one at a time (ascending, for reproducibility) while a transversal
-of size at most k is maintained; when it overflows to k + 1 the compression
-step enumerates every way to split the current transversal into deleted /
-left-side / right-side vertices, rejects splits with a same-side edge, and
-asks whether few enough remaining vertices separate the would-be-left from
-the would-be-right attachment points -- a vertex separator problem handed to
-:mod:`refnet.flow`.  The enumeration carries 3^(k+1) splits, halved by
-fixing the side of the first kept vertex.
+of size at most a budget is maintained; when it overflows to budget + 1 the
+compression step enumerates every way to split the current transversal into
+deleted / left-side / right-side vertices, rejects splits with a same-side
+edge, and asks whether few enough remaining vertices separate the would-be-
+left from the would-be-right attachment points -- a vertex separator problem
+handed to :mod:`refnet.flow`.  The enumeration carries 3^(budget+1) splits,
+halved by fixing the side of the first kept vertex.
 
-The solvers sweep k upward from zero, so a returned solution doubles as an
-optimality certificate.  Brute-force counterparts over all vertex subsets
-serve as independent test oracles.
+The budget starts at zero and grows inside that one pass: a failed
+compression proves the current prefix needs more than the budget, and no
+prefix needs more than the whole graph, so the budget is raised by one and
+insertion continues.  The budget is therefore always a proven lower bound,
+and the transversal returned at the end is a minimum one -- an optimality
+certificate.  Brute-force counterparts over all vertex subsets serve as
+independent test oracles.
 """
 
 from __future__ import annotations
 
 import itertools
-import logging
 import time
 from dataclasses import dataclass
 from typing import Sequence
@@ -39,15 +42,13 @@ from refnet.signed_graph import (
     is_balanced,
 )
 
-logger = logging.getLogger(__name__)
-
 
 class OperationCancelled(RuntimeError):
     """Cooperative cancellation fired during a solve."""
 
 
 class DeletionBudgetError(RuntimeError):
-    """The sweep reached its deletion-size cap without finding a solution.
+    """The solver proved every balanced deletion larger than its size cap.
 
     Distinct from a timeout: the solver finished all permitted sizes.
     """
@@ -100,14 +101,17 @@ class ExactResult:
     """Outcome of the exact balanced-deletion solver.
 
     ``status`` is "optimal" or "timeout".  On "optimal", removing
-    ``deletion`` balances the graph and no smaller set does (the upward
-    sweep proves both).  ``nodes_explored`` counts transversal splits
-    examined across all compression steps.
+    ``deletion`` balances the graph and no smaller set does (the growing
+    budget proves both).  ``lower_bound`` is proven: every balanced
+    deletion has at least that many vertices; it equals ``k`` on "optimal"
+    and is the budget reached on "timeout".  ``nodes_explored`` counts
+    transversal splits examined across all compression steps.
     """
 
     status: str
     deletion: frozenset[int] | None
     k: int | None
+    lower_bound: int
     elapsed: float
     nodes_explored: int
 
@@ -310,18 +314,22 @@ def odd_cycle_transversal(
     cancel: CancelToken | None = None,
     stats: dict | None = None,
 ) -> set[int] | None:
-    """Vertex set of size <= k whose removal makes the graph bipartite.
+    """Minimum vertex set whose removal makes the graph bipartite, if <= k.
 
-    Returns None when no such set exists ("no" is a value, not an error).
-    Iterative compression over vertices in ascending order; a parity
-    union-find tracks bipartiteness of the transversal-free part between
-    compressions.  ``cancel`` is polled during insertion and inside
-    compression; expiry raises :class:`OperationCancelled`.
+    Returns None when every such set is larger than k ("no" is a value, not
+    an error).  One pass of iterative compression over vertices in ascending
+    order; a parity union-find tracks bipartiteness of the transversal-free
+    part between compressions.  The budget starts at zero and rises by one
+    each time a compression fails; ``stats["lower_bound"]`` holds it, a
+    proven lower bound on the optimum, also after cancellation.  ``cancel``
+    is polled during insertion and inside compression; expiry raises
+    :class:`OperationCancelled`.
     """
     if k < 0:
         raise ValueError("k must be non-negative")
     if stats is None:
         stats = {}
+    budget = stats["lower_bound"] = 0
     n = len(adjacency)
     in_transversal = [False] * n
     transversal: list[int] = []
@@ -355,13 +363,18 @@ def odd_cycle_transversal(
             continue
         transversal.append(v)
         in_transversal[v] = True
-        if len(transversal) <= k:
+        if len(transversal) <= budget:
             continue
         compressed = _compress_transversal(
-            adjacency, v + 1, transversal, k, cancel, stats
+            adjacency, v + 1, transversal, budget, cancel, stats
         )
         if compressed is None:
-            return None
+            # The prefix needs budget + 1 vertices, so the whole graph does
+            # too; the overflowing transversal stays valid for the prefix.
+            budget = stats["lower_bound"] = budget + 1
+            if budget > k:
+                return None
+            continue
         transversal = sorted(compressed)
         for w in range(n):
             in_transversal[w] = False
@@ -371,83 +384,56 @@ def odd_cycle_transversal(
     return set(transversal)
 
 
-def _replacement_repair(
-    graph: SignedGraph,
-    subdivided: SubdividedGraph,
-    raw_solution: set[int],
-) -> frozenset[int]:
-    """Defensive fallback for the endpoint-replacement step.
-
-    The lowest-endpoint replacement is always valid (a transversal using a
-    subdivision vertex can swap it for either endpoint of its edge), so this
-    path should be unreachable; if it ever runs, it retries the other
-    endpoint combinations and reports loudly.
-    """
-    logger.error(
-        "endpoint replacement failed to balance the graph; retrying other "
-        "endpoints (this indicates a solver bug)"
-    )
-    originals = [w for w in raw_solution if isinstance(subdivided.origin[w], int)]
-    pairs = [
-        subdivided.origin[w] for w in raw_solution if not isinstance(subdivided.origin[w], int)
-    ]
-    for choice in itertools.islice(itertools.product(*pairs), 256):
-        candidate = frozenset(originals) | frozenset(choice)
-        kept = [u for u in range(graph.n) if u not in candidate]
-        if is_balanced(induced_subgraph(graph, kept)).balanced:
-            return candidate
-    raise RuntimeError(
-        "no endpoint replacement balances the graph; the subdivision "
-        "correspondence was violated"
-    )
-
-
 def mbd_exact(
     graph: SignedGraph,
     k_max: int | None = None,
     cancel: CancelToken | None = None,
 ) -> ExactResult:
-    """Minimum balanced deletion by an upward sweep of deletion sizes.
+    """Minimum balanced deletion by one growing-budget bipartization pass.
 
-    For each k = 0, 1, ... the subdivided graph is handed to
-    :func:`odd_cycle_transversal`; subdivision vertices in the answer are
-    replaced by the lower endpoint of their edge and the result is
-    re-verified against the signed graph.  Cancellation yields a "timeout"
-    result; exhausting ``k_max`` raises :class:`DeletionBudgetError`.
+    The subdivided graph is handed once to :func:`odd_cycle_transversal`
+    with ``k_max`` (default: the vertex count) as its cap; subdivision
+    vertices in the answer are replaced by the lower endpoint of their edge
+    and the result is re-verified against the signed graph.  Cancellation
+    yields a "timeout" result carrying the proven lower bound; exhausting
+    ``k_max`` raises :class:`DeletionBudgetError`.
     """
     started = time.perf_counter()
     subdivided = subdivide_positive(graph)
     cap = graph.n if k_max is None else k_max
     stats: dict = {}
-    for k in range(cap + 1):
-        try:
-            solution = odd_cycle_transversal(subdivided.adjacency, k, cancel, stats)
-        except OperationCancelled:
-            return ExactResult(
-                status="timeout",
-                deletion=None,
-                k=None,
-                elapsed=time.perf_counter() - started,
-                nodes_explored=stats.get("splits", 0),
-            )
-        if solution is None:
-            continue
-        deletion = set()
-        for w in solution:
-            tag = subdivided.origin[w]
-            deletion.add(tag if isinstance(tag, int) else tag[0])
-        kept = [u for u in range(graph.n) if u not in deletion]
-        if not is_balanced(induced_subgraph(graph, kept)).balanced:
-            deletion = set(_replacement_repair(graph, subdivided, solution))
+    try:
+        solution = odd_cycle_transversal(subdivided.adjacency, cap, cancel, stats)
+    except OperationCancelled:
         return ExactResult(
-            status="optimal",
-            deletion=frozenset(deletion),
-            k=len(deletion),
+            status="timeout",
+            deletion=None,
+            k=None,
+            lower_bound=stats["lower_bound"],
             elapsed=time.perf_counter() - started,
             nodes_explored=stats.get("splits", 0),
         )
-    raise DeletionBudgetError(
-        f"no balanced deletion of size <= {cap} exists (cap was k_max)"
+    if solution is None:
+        raise DeletionBudgetError(
+            f"no balanced deletion of size <= {cap} exists (cap was k_max)"
+        )
+    deletion = set()
+    for w in solution:
+        tag = subdivided.origin[w]
+        deletion.add(tag if isinstance(tag, int) else tag[0])
+    kept = [u for u in range(graph.n) if u not in deletion]
+    if not is_balanced(induced_subgraph(graph, kept)).balanced:
+        raise RuntimeError(
+            "endpoint replacement left the graph unbalanced; the subdivision "
+            "correspondence was violated"
+        )
+    return ExactResult(
+        status="optimal",
+        deletion=frozenset(deletion),
+        k=len(deletion),
+        lower_bound=len(deletion),
+        elapsed=time.perf_counter() - started,
+        nodes_explored=stats.get("splits", 0),
     )
 
 

@@ -12,70 +12,35 @@ sink attach to the terminals with wide arcs.  Every source-sink path then
 crosses some internal arc, so the minimum cut picks only internal arcs and
 reads back as a vertex set via residual reachability.
 
-Two interchangeable backends: a pure-Python breadth-first augmenting loop
-that aborts as soon as the flow exceeds the limit (cheap for the small
-graphs dominating this workload), and ``scipy.sparse.csgraph.maximum_flow``
-on a preallocated CSR whose capacity vector is patched per query (much
-faster once graphs reach thousands of arcs).  ``auto`` picks by size.
+The flow is a pure-Python breadth-first augmenting loop over paired-arc
+residual arrays; it aborts as soon as the flow exceeds the limit, so a
+"no" answer costs at most ``limit + 1`` augmentations.
 """
 
 from __future__ import annotations
 
 from typing import Iterable, Sequence
 
-import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import breadth_first_order, maximum_flow
-
-# Arc-count boundary between the Python and scipy backends under "auto";
-# below it the per-call overhead of scipy dominates the actual solve.
-_AUTO_ARC_LIMIT = 6000
-
 
 class SeparatorSolver:
     """Reusable separator queries over one fixed graph.
 
     Build once per graph, then call :meth:`solve` with varying terminal
-    sets; the flow network skeleton is shared across calls.
+    sets; the flow network skeleton is shared across calls.  Nodes are
+    numbered in(v) = 2v, out(v) = 2v + 1, then the source and the sink.
     """
 
-    def __init__(
-        self,
-        n: int,
-        adjacency: Sequence[Sequence[int]],
-        backend: str = "auto",
-    ):
-        if backend not in ("auto", "python", "scipy"):
-            raise ValueError(f"unknown backend {backend!r}")
+    # The one flow implementation; perfbench's tracer labels calls by it.
+    backend = "python"
+
+    def __init__(self, n: int, adjacency: Sequence[Sequence[int]]):
         self.n = n
-        self.adjacency = adjacency
-        n_arcs = 2 * n + sum(len(a) for a in adjacency)
-        if backend == "auto":
-            backend = "python" if n_arcs <= _AUTO_ARC_LIMIT else "scipy"
-        self.backend = backend
         self._wide = n + 2  # exceeds any possible flow value
-        if backend == "python":
-            self._init_python()
-        else:
-            self._init_scipy()
-
-    # -- shared node numbering: in(v) = 2v, out(v) = 2v + 1, source, sink --
-
-    @property
-    def _source(self) -> int:
-        return 2 * self.n
-
-    @property
-    def _sink(self) -> int:
-        return 2 * self.n + 1
-
-    # ------------------------------------------------------------------
-    # Python backend: paired-arc residual arrays
-
-    def _init_python(self) -> None:
+        self._source = 2 * n
+        self._sink = 2 * n + 1
         to: list[int] = []
         cap: list[int] = []
-        head: list[list[int]] = [[] for _ in range(2 * self.n + 2)]
+        head: list[list[int]] = [[] for _ in range(2 * n + 2)]
 
         def add_arc(a: int, b: int, c: int) -> int:
             idx = len(to)
@@ -87,25 +52,32 @@ class SeparatorSolver:
             cap.append(0)
             return idx
 
-        self._src_arc = [0] * self.n
-        self._snk_arc = [0] * self.n
-        for v in range(self.n):
+        for v in range(n):
             add_arc(2 * v, 2 * v + 1, 1)
-        for v in range(self.n):
-            for u in self.adjacency[v]:
+        for v in range(n):
+            for u in adjacency[v]:
                 if u > v:
                     add_arc(2 * v + 1, 2 * u, self._wide)
                     add_arc(2 * u + 1, 2 * v, self._wide)
-        for v in range(self.n):
+        self._src_arc = [0] * n
+        self._snk_arc = [0] * n
+        for v in range(n):
             self._src_arc[v] = add_arc(self._source, 2 * v, 0)
             self._snk_arc[v] = add_arc(2 * v + 1, self._sink, 0)
         self._to = to
         self._cap_template = cap
         self._head = head
 
-    def _solve_python(
+    def solve(
         self, sources: Iterable[int], sinks: Iterable[int], limit: int
     ) -> list[int] | None:
+        """Separator of size <= limit between the terminal sets, or None.
+
+        The returned list is ascending.  ``None`` means every separator is
+        larger than ``limit``.
+        """
+        if limit < 0:
+            return None
         cap = self._cap_template.copy()
         for v in sources:
             cap[self._src_arc[v]] = self._wide
@@ -153,104 +125,3 @@ class SeparatorSolver:
         ]
         assert len(separator) == flow
         return separator
-
-    # ------------------------------------------------------------------
-    # scipy backend: one CSR, capacity vector patched per query
-
-    def _init_scipy(self) -> None:
-        rows: list[int] = []
-        cols: list[int] = []
-        caps: list[int] = []
-
-        def add_arc(a: int, b: int, c: int) -> int:
-            rows.append(a)
-            cols.append(b)
-            caps.append(c)
-            return len(caps) - 1
-
-        arc_src = [0] * self.n
-        arc_snk = [0] * self.n
-        for v in range(self.n):
-            add_arc(2 * v, 2 * v + 1, 1)
-        for v in range(self.n):
-            for u in self.adjacency[v]:
-                if u > v:
-                    add_arc(2 * v + 1, 2 * u, self._wide)
-                    add_arc(2 * u + 1, 2 * v, self._wide)
-        for v in range(self.n):
-            arc_src[v] = add_arc(self._source, 2 * v, 0)
-            arc_snk[v] = add_arc(2 * v + 1, self._sink, 0)
-
-        shape = (2 * self.n + 2, 2 * self.n + 2)
-        row_arr = np.asarray(rows, dtype=np.int32)
-        col_arr = np.asarray(cols, dtype=np.int32)
-        # Positions move when COO converts to CSR; recover the permutation so
-        # per-query capacity patches land on the right data slots.
-        perm = csr_matrix(
-            (np.arange(len(caps), dtype=np.int64), (row_arr, col_arr)), shape=shape
-        ).data
-        pos_of_arc = np.empty(len(caps), dtype=np.int64)
-        pos_of_arc[perm] = np.arange(len(caps), dtype=np.int64)
-        self._graph = csr_matrix(
-            (np.asarray(caps, dtype=np.int32), (row_arr, col_arr)), shape=shape
-        )
-        self._data_template = np.asarray(caps, dtype=np.int32)[perm]
-        self._src_pos = pos_of_arc[np.asarray(arc_src, dtype=np.int64)]
-        self._snk_pos = pos_of_arc[np.asarray(arc_snk, dtype=np.int64)]
-
-    def _solve_scipy(
-        self, sources: Iterable[int], sinks: Iterable[int], limit: int
-    ) -> list[int] | None:
-        data = self._data_template.copy()
-        src = np.fromiter(sources, dtype=np.int64)
-        snk = np.fromiter(sinks, dtype=np.int64)
-        if src.size:
-            data[self._src_pos[src]] = self._wide
-        if snk.size:
-            data[self._snk_pos[snk]] = self._wide
-        self._graph.data = data
-        result = maximum_flow(self._graph, self._source, self._sink)
-        if result.flow_value > limit:
-            return None
-        residual = self._graph - result.flow
-        reachable = breadth_first_order(
-            (residual > 0).astype(np.int8),
-            self._source,
-            directed=True,
-            return_predecessors=False,
-        )
-        seen = np.zeros(2 * self.n + 2, dtype=bool)
-        seen[reachable] = True
-        separator = [
-            v for v in range(self.n) if seen[2 * v] and not seen[2 * v + 1]
-        ]
-        assert len(separator) == result.flow_value
-        return separator
-
-    # ------------------------------------------------------------------
-
-    def solve(
-        self, sources: Iterable[int], sinks: Iterable[int], limit: int
-    ) -> list[int] | None:
-        """Separator of size <= limit between the terminal sets, or None.
-
-        The returned list is ascending.  ``None`` means every separator is
-        larger than ``limit``.
-        """
-        if limit < 0:
-            return None
-        if self.backend == "python":
-            return self._solve_python(sources, sinks, limit)
-        return self._solve_scipy(sources, sinks, limit)
-
-
-def vertex_separator(
-    n: int,
-    adjacency: Sequence[Sequence[int]],
-    sources: Iterable[int],
-    sinks: Iterable[int],
-    limit: int,
-    backend: str = "auto",
-) -> list[int] | None:
-    """One-shot convenience wrapper around :class:`SeparatorSolver`."""
-    return SeparatorSolver(n, adjacency, backend).solve(sources, sinks, limit)

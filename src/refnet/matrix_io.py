@@ -184,7 +184,11 @@ def parse_coord(text: str | bytes) -> SparseMatrix:
     zero values are rejected.
     """
     if isinstance(text, bytes):
-        text = text.decode("utf-8")
+        try:
+            text = text.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            line_no = text.count(b"\n", 0, exc.start) + 1
+            raise MatrixFormatError("input is not UTF-8 text", line_no) from None
     header: tuple[int, int, int] | None = None
     entries: list[Entry] = []
     seen: set[tuple[int, int]] = set()

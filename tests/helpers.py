@@ -158,6 +158,73 @@ def brute_force_separator(adjacency, sources, sinks) -> int:
     raise AssertionError("removing everything always separates")
 
 
+def scipy_separator_size(adjacency, sources, sinks) -> int:
+    """Minimum separator size by scipy's max flow on the vertex-split graph.
+
+    An independent reference for :class:`refnet.flow.SeparatorSolver`:
+    in(v) = 2v -> out(v) = 2v + 1 has capacity one, every other arc is wide.
+    """
+    import numpy as np
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import maximum_flow
+
+    n = len(adjacency)
+    source, sink, wide = 2 * n, 2 * n + 1, n + 1
+    arcs = {(2 * v, 2 * v + 1): 1 for v in range(n)}
+    for v in range(n):
+        for u in adjacency[v]:
+            arcs[(2 * v + 1, 2 * u)] = wide
+    for v in sources:
+        arcs[(source, 2 * v)] = wide
+    for v in sinks:
+        arcs[(2 * v + 1, sink)] = wide
+    (rows, cols), caps = zip(*arcs), list(arcs.values())
+    graph = csr_matrix(
+        (np.array(caps, dtype=np.int32), (np.array(rows), np.array(cols))),
+        shape=(2 * n + 2, 2 * n + 2),
+    )
+    return int(maximum_flow(graph, source, sink).flow_value)
+
+
+def milp_mbd(graph: SignedGraph) -> int:
+    """Minimum balanced deletion size by a 0/1 integer program (HiGHS).
+
+    Variables: x_v = 1 deletes v, y_v is v's side.  A kept positive edge
+    needs equal sides, a kept negative edge opposite ones; either constraint
+    relaxes by x_u + x_v.  An independent oracle for graphs far beyond the
+    brute-force limit.
+    """
+    import numpy as np
+    from scipy.optimize import Bounds, LinearConstraint, milp
+
+    n = graph.n
+    rows = []  # (coefficients by variable, upper bound); every row is "<= upper"
+    for u, v, sign in graph.edges:
+        x = {u: -1, v: -1}
+        if sign == 1:  # |y_u - y_v| <= x_u + x_v
+            rows.append(({**x, n + u: 1, n + v: -1}, 0))
+            rows.append(({**x, n + u: -1, n + v: 1}, 0))
+        else:  # 1 - x_u - x_v <= y_u + y_v <= 1 + x_u + x_v
+            rows.append(({**x, n + u: -1, n + v: -1}, -1))
+            rows.append(({**x, n + u: 1, n + v: 1}, 1))
+    if not rows:
+        return 0
+    a = np.zeros((len(rows), 2 * n))
+    for i, (coefficients, _) in enumerate(rows):
+        for j, coef in coefficients.items():
+            a[i, j] = coef
+    upper = np.array([ub for _, ub in rows], dtype=float)
+    cost = np.concatenate([np.ones(n), np.zeros(n)])
+    result = milp(
+        cost,
+        constraints=LinearConstraint(a, -np.inf, upper),
+        integrality=np.ones(2 * n),
+        bounds=Bounds(0, 1),
+    )
+    assert result.success, result.message
+    return int(round(result.fun))
+
+
 def _decimal_exact(v: Fraction) -> str:
     """Exact decimal rendering; only denominators of the form 2^a 5^b allowed."""
     if v.denominator == 1:

@@ -79,6 +79,12 @@ class TestExtract:
     def test_missing_file_exit_code(self, tmp_path, capsys):
         assert main(["extract", str(tmp_path / "absent.coord")]) == 3
 
+    def test_non_utf8_input_exit_code(self, tmp_path, capsys):
+        path = tmp_path / "bad.coord"
+        path.write_bytes(b"2 2 1\n1 1 \xff\n")
+        assert main(["extract", str(path)]) == 2
+        assert "line 2" in capsys.readouterr().err
+
     def test_csv_output(self, fig_coord, capsys):
         assert main(["extract", str(fig_coord), "--out", "csv"]) == 0
         rows = list(csv.reader(capsys.readouterr().out.splitlines()))
@@ -98,7 +104,7 @@ class TestExact:
     def test_fig_instance(self, fig_coord, capsys):
         assert main(["exact", str(fig_coord), "--out", "json"]) == 0
         payload = json.loads(capsys.readouterr().out)
-        assert payload["k"] == 1
+        assert payload["k"] == payload["lower_bound"] == 1
         assert payload["deleted_rows"] == ["4"]
 
     def test_forced_timeout(self, fig_coord, capsys):
@@ -106,11 +112,20 @@ class TestExact:
         payload = json.loads(capsys.readouterr().out)
         assert payload["status"] == "timeout"
         assert payload["k"] == "---"
+        assert payload["lower_bound"] == 0
+
+    def test_timeout_lower_bound_in_table_and_csv(self, fig_coord, capsys):
+        assert main(["exact", str(fig_coord), "--timeout", "0"]) == 0
+        assert "lower_bound  0" in capsys.readouterr().out
+        assert main(["exact", str(fig_coord), "--timeout", "0", "--out", "csv"]) == 0
+        header, row = csv.reader(capsys.readouterr().out.splitlines())
+        assert row[header.index("lower_bound")] == "0"
 
     def test_max_k_exhausted(self, fig_coord, capsys):
         assert main(["exact", str(fig_coord), "--max-k", "0", "--out", "json"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["status"] == "max-k-exhausted"
+        assert payload["lower_bound"] == 1
 
     def test_matches_oracle_through_mps_pipeline(self, tmp_path, capsys):
         rng = random.Random(70)
@@ -275,6 +290,15 @@ class TestBench:
     def test_not_a_directory(self, tmp_path):
         assert main(["bench", str(tmp_path / "nope")]) == 3
 
+    def test_non_utf8_file_is_an_error_row(self, tmp_path, capsys):
+        directory = make_bench_dir(tmp_path)
+        (directory / "binary.coord").write_bytes(b"\xff\xfe\x00")
+        assert main(["bench", str(directory), "--timeout", "60"]) == 0
+        _, data, _ = read_bench_csv(capsys.readouterr().out)
+        status = {row[0]: row[-1] for row in data}
+        assert status["binary"].startswith("error: line 1")
+        assert status["fig"] == "ok"
+
     def test_parallel_workers_match_sequential(self, tmp_path, capsys):
         directory = make_bench_dir(tmp_path)
         outputs = []
@@ -292,3 +316,35 @@ class TestBench:
                 assert [c for i, c in enumerate(r1) if i not in timing] == [
                     c for i, c in enumerate(r2) if i not in timing
                 ]
+
+
+class TestNumericFlags:
+    """Out-of-range numbers are usage errors: argparse exits with code 2."""
+
+    def reject(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "must be >=" in capsys.readouterr().err
+
+    def test_repeats_at_least_one(self, fig_coord, capsys):
+        self.reject(["extract", str(fig_coord), "--repeats", "0"], capsys)
+
+    def test_vc_budget_non_negative(self, fig_coord, capsys):
+        self.reject(["extract", str(fig_coord), "--vc", "--vc-budget", "-1"], capsys)
+
+    def test_max_k_non_negative(self, fig_coord, capsys):
+        self.reject(["exact", str(fig_coord), "--max-k", "-1"], capsys)
+
+    def test_timeout_non_negative(self, fig_coord, capsys):
+        self.reject(["exact", str(fig_coord), "--timeout", "-1"], capsys)
+        self.reject(["exact", str(fig_coord), "--timeout", "nan"], capsys)
+        self.reject(["bench", str(fig_coord.parent), "--timeout", "-0.5"], capsys)
+
+    def test_jobs_at_least_one(self, tmp_path, capsys):
+        self.reject(["bench", str(tmp_path), "--jobs", "0"], capsys)
+
+    def test_non_numeric_still_rejected(self, fig_coord, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["extract", str(fig_coord), "--repeats", "many"])
+        assert exc.value.code == 2

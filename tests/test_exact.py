@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from helpers import random_balanced_graph, random_signed_graph, simple_adjacency
+from helpers import milp_mbd, random_balanced_graph, random_signed_graph, simple_adjacency
 from refnet.exact import (
     CancelToken,
     DeletionBudgetError,
@@ -33,6 +33,41 @@ def complete(n):
 
 def odd_cycle(n):
     return [sorted(((v - 1) % n, (v + 1) % n)) for v in range(n)]
+
+
+def planted_graph(rng, n, n_edges, n_bad, sabotage=16) -> SignedGraph:
+    """Balanced backbone plus ``n_bad`` saboteurs with random-sign edges.
+
+    Deleting the saboteurs restores balance, so the optimum is <= n_bad.
+    """
+    labels = [rng.randint(0, 1) for _ in range(n)]
+    edges = set()
+    while len(edges) < n_edges:
+        u, v = rng.randrange(n), rng.randrange(n)
+        if u == v:
+            continue
+        u, v = min(u, v), max(u, v)
+        edges.add((u, v, 1 if labels[u] == labels[v] else -1))
+    for w in rng.sample(range(n), n_bad):
+        for _ in range(sabotage):
+            v = rng.randrange(n)
+            if v == w:
+                continue
+            a, b = min(w, v), max(w, v)
+            edges.add((a, b, 1 if rng.random() < 0.5 else -1))
+    return SignedGraph.from_edges(n, sorted(edges))
+
+
+class CancelAfter(CancelToken):
+    """Token that expires on its ``polls + 1``-th poll."""
+
+    def __init__(self, polls: int):
+        super().__init__()
+        self.polls = polls
+
+    def expired(self) -> bool:
+        self.polls -= 1
+        return self.polls < 0
 
 
 def min_oct(adjacency) -> int:
@@ -143,6 +178,33 @@ class TestOddCycleTransversal:
         with pytest.raises(ValueError):
             odd_cycle_transversal([[1], [0]], -1)
 
+    def test_generous_cap_still_returns_a_minimum(self):
+        # the budget grows only when a compression proves it must, so a cap
+        # far above the optimum changes nothing
+        rng = random.Random(60)
+        for _ in range(40):
+            adj = simple_adjacency(rng)
+            stats = {}
+            sol = odd_cycle_transversal(adj, len(adj), stats=stats)
+            assert len(sol) == stats["lower_bound"] == brute_force_oct(adj)[0]
+            assert is_bipartite_without(adj, sol)
+
+    def test_lower_bound_after_cancellation(self):
+        # K8 needs 6 deletions; every prefix needs fewer, so the budget a
+        # cancelled pass reports never overshoots and grows with the polls
+        bounds = []
+        for polls in itertools.count():
+            stats = {}
+            try:
+                sol = odd_cycle_transversal(complete(8), 8, CancelAfter(polls), stats)
+            except OperationCancelled:
+                bounds.append(stats["lower_bound"])
+                continue
+            break
+        assert len(sol) == stats["lower_bound"] == 6
+        assert bounds == sorted(bounds) and bounds[0] == 0 and bounds[-1] <= 6
+        assert len(set(bounds)) > 2
+
 
 class TestMbdExact:
     def test_balanced_graph(self):
@@ -189,6 +251,30 @@ class TestMbdExact:
         result = mbd_exact(fig_graph(), cancel=token)
         assert result.status == "timeout"
         assert result.deletion is None and result.k is None
+        assert result.lower_bound == 0
+
+    def test_timeout_mid_run_reports_proven_lower_bound(self):
+        # all-negative K8: subdivision leaves K8 itself, optimum 6
+        g = SignedGraph.from_edges(8, [(u, v, -1) for u, v in itertools.combinations(range(8), 2)])
+        assert brute_force_mbd(g)[0] == 6
+        result = mbd_exact(g, cancel=CancelAfter(6))
+        assert result.status == "timeout"
+        assert 0 < result.lower_bound <= 6
+        assert mbd_exact(g).lower_bound == 6
+
+    def test_matches_milp_above_brute_force_limit(self):
+        # planted graphs beyond the 24-vertex oracle: the one growing-budget
+        # pass must land on the integer program's optimum
+        pytest.importorskip("scipy")
+        rng = random.Random(61)
+        for _ in range(10):
+            n = rng.randint(30, 80)
+            g = planted_graph(rng, n, n_edges=2 * n, n_bad=rng.randint(1, 6), sabotage=6)
+            result = mbd_exact(g, cancel=CancelToken.after(60))
+            assert result.status == "optimal"
+            assert result.k == milp_mbd(g)
+            kept = [v for v in range(g.n) if v not in result.deletion]
+            assert is_balanced(induced_subgraph(g, kept)).balanced
 
     def test_k_max_exhausted_is_distinct(self):
         g = SignedGraph.from_edges(2, [(0, 1, 1), (0, 1, -1)])
@@ -212,27 +298,10 @@ class TestMbdExact:
 def test_planted_instance_at_benchmark_scale():
     # balanced backbone plus a handful of saboteur vertices whose removal
     # restores balance: the optimum is at most the number of saboteurs, and
-    # the compression step here is large enough to cross onto the scipy
-    # flow backend
+    # each separator graph here has several thousand flow arcs
     rng = random.Random(33)
-    n, target_edges, n_bad = 150, 1200, 6
-    labels = [rng.randint(0, 1) for _ in range(n)]
-    edges = set()
-    while len(edges) < target_edges:
-        u, v = rng.randrange(n), rng.randrange(n)
-        if u == v:
-            continue
-        u, v = min(u, v), max(u, v)
-        edges.add((u, v, 1 if labels[u] == labels[v] else -1))
-    saboteurs = rng.sample(range(n), n_bad)
-    for w in saboteurs:
-        for _ in range(16):
-            v = rng.randrange(n)
-            if v == w:
-                continue
-            a, b = min(w, v), max(w, v)
-            edges.add((a, b, 1 if rng.random() < 0.5 else -1))
-    graph = SignedGraph.from_edges(n, list(edges))
+    n, n_bad = 150, 6
+    graph = planted_graph(rng, n, 1200, n_bad)
     result = mbd_exact(graph, cancel=CancelToken.after(120))
     assert result.status == "optimal"
     assert result.k <= n_bad

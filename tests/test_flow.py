@@ -2,8 +2,10 @@ from __future__ import annotations
 
 import random
 
-from helpers import brute_force_separator, simple_adjacency
-from refnet.flow import SeparatorSolver, vertex_separator
+import pytest
+
+from helpers import brute_force_separator, scipy_separator_size, simple_adjacency
+from refnet.flow import SeparatorSolver
 
 
 def components_after(adjacency, removed):
@@ -35,46 +37,58 @@ def is_separator(adjacency, sources, sinks, removed):
     )
 
 
+def minimum_cut(adjacency, sources, sinks) -> int:
+    """Size of the first separator the solver finds as the limit rises."""
+    solver = SeparatorSolver(len(adjacency), adjacency)
+    for limit in range(len(adjacency) + 1):
+        cut = solver.solve(sources, sinks, limit)
+        if cut is not None:
+            assert len(cut) <= limit
+            assert is_separator(adjacency, sources, sinks, cut)
+            return len(cut)
+    raise AssertionError("removing every vertex always separates")
+
+
 class TestSeparator:
     def test_path_cut(self):
         adj = [[1], [0, 2], [1, 3], [2]]
-        cut = vertex_separator(4, adj, [0], [3], 1)
+        cut = SeparatorSolver(4, adj).solve([0], [3], 1)
         assert cut is not None and len(cut) == 1
         assert is_separator(adj, [0], [3], cut)
 
     def test_limit_too_small(self):
         # deleting the lone source is itself a size-1 separator
         adj = [[1, 2], [0, 3], [0, 3], [1, 2]]
-        assert vertex_separator(4, adj, [0], [3], 0) is None
-        cut = vertex_separator(4, adj, [0], [3], 1)
+        assert SeparatorSolver(4, adj).solve([0], [3], 0) is None
+        cut = SeparatorSolver(4, adj).solve([0], [3], 1)
         assert cut is not None and len(cut) == 1
 
     def test_two_by_two_terminals_need_two(self):
         # sources {0,1}, sinks {2,3}, a perfect matching of disjoint links
         adj = [[2], [3], [0], [1]]
-        assert vertex_separator(4, adj, [0, 1], [2, 3], 1) is None
-        cut = vertex_separator(4, adj, [0, 1], [2, 3], 2)
+        assert SeparatorSolver(4, adj).solve([0, 1], [2, 3], 1) is None
+        cut = SeparatorSolver(4, adj).solve([0, 1], [2, 3], 2)
         assert cut is not None and len(cut) == 2
 
     def test_overlapping_terminal_forced(self):
         adj = [[1], [0]]
-        cut = vertex_separator(2, adj, [0], [0, 1], 1)
+        cut = SeparatorSolver(2, adj).solve([0], [0, 1], 1)
         assert cut == [0]
 
     def test_terminals_may_be_cut(self):
         # star: center 0, leaves sources/sinks
         adj = [[1, 2, 3], [0], [0], [0]]
-        cut = vertex_separator(4, adj, [1, 2], [3], 1)
+        cut = SeparatorSolver(4, adj).solve([1, 2], [3], 1)
         assert cut == [0] or (len(cut) == 1 and is_separator(adj, [1, 2], [3], cut))
 
     def test_no_terminals(self):
         adj = [[1], [0]]
-        assert vertex_separator(2, adj, [], [], 0) == []
+        assert SeparatorSolver(2, adj).solve([], [], 0) == []
 
     def test_negative_limit(self):
-        assert vertex_separator(2, [[1], [0]], [0], [1], -1) is None
+        assert SeparatorSolver(2, [[1], [0]]).solve([0], [1], -1) is None
 
-    def test_matches_brute_force_both_backends(self):
+    def test_matches_brute_force(self):
         rng = random.Random(40)
         for _ in range(50):
             adj = simple_adjacency(rng, n_max=8, p=0.4)
@@ -82,36 +96,18 @@ class TestSeparator:
             sources = [v for v in range(n) if rng.random() < 0.3]
             sinks = [v for v in range(n) if rng.random() < 0.3]
             best = brute_force_separator(adj, sources, sinks)
-            for backend in ("python", "scipy"):
-                solver = SeparatorSolver(n, adj, backend=backend)
-                # minimal size: first feasible limit equals the brute optimum
-                got = None
-                for limit in range(n + 1):
-                    cut = solver.solve(sources, sinks, limit)
-                    if cut is not None:
-                        got = len(cut)
-                        assert got <= limit
-                        assert is_separator(adj, sources, sinks, cut)
-                        break
-                assert got == best, (adj, sources, sinks, backend)
+            assert minimum_cut(adj, sources, sinks) == best, (adj, sources, sinks)
 
-    def test_backends_agree_on_larger_graphs(self):
+    def test_matches_scipy_max_flow_on_larger_graphs(self):
+        pytest.importorskip("scipy")
         rng = random.Random(41)
         for _ in range(10):
             adj = simple_adjacency(rng, n_max=40, p=0.15)
             n = len(adj)
             sources = [v for v in range(n) if rng.random() < 0.2]
             sinks = [v for v in range(n) if rng.random() < 0.2]
-            results = {}
-            for backend in ("python", "scipy"):
-                solver = SeparatorSolver(n, adj, backend=backend)
-                for limit in range(n + 1):
-                    cut = solver.solve(sources, sinks, limit)
-                    if cut is not None:
-                        results[backend] = len(cut)
-                        assert is_separator(adj, sources, sinks, cut)
-                        break
-            assert results["python"] == results["scipy"]
+            expected = scipy_separator_size(adj, sources, sinks)
+            assert minimum_cut(adj, sources, sinks) == expected
 
     def test_reusable_solver(self):
         adj = [[1], [0, 2], [1]]

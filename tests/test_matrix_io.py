@@ -283,3 +283,32 @@ def test_coord_round_trip_property(raw):
             entries.append((r, c, v))
     m = SparseMatrix.from_entries(6, 6, entries)
     assert parse_coord(dump_coord(m)) == m
+
+
+_FRAGMENTS = [
+    b"2 2 1\n", b"1 1 3\n", b"1 2 -1/2\n", b"% note\n", b"NAME T\n", b"ROWS\n",
+    b" E  R\n", b" N  OBJ\n", b"COLUMNS\n", b"    X  R  1\n", b"RHS\n", b"BOUNDS\n",
+    b"ENDATA\n", b"\xff", b"\xc3", b"\t", b" ", b"\n", b"\r",
+]
+_NEAR_MATRIX_BYTES = st.one_of(
+    st.binary(max_size=200),
+    st.lists(
+        st.one_of(st.sampled_from(_FRAGMENTS), st.binary(max_size=6)), max_size=12
+    ).map(b"".join),
+)
+
+
+@pytest.mark.parametrize("parser", [parse_coord, parse_mps])
+@settings(max_examples=150, deadline=None)
+@given(_NEAR_MATRIX_BYTES)
+def test_arbitrary_bytes_parse_or_format_error(parser, data):
+    try:
+        result = parser(data)
+    except MatrixFormatError:
+        return
+    assert isinstance(result, SparseMatrix)
+
+
+def test_coord_non_utf8_names_the_line():
+    with pytest.raises(MatrixFormatError, match="line 3.*UTF-8"):
+        parse_coord(b"% header next\n2 2 1\n1 1 \xff\n")

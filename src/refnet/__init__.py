@@ -19,7 +19,7 @@ from refnet.matrix_io import (
     parse_coord,
     parse_mps,
 )
-from refnet.scaling import extended_scale, scale, simple_row_scale
+from refnet.scaling import scale
 from refnet.signed_graph import (
     BalanceCertificate,
     NotBalancedError,
@@ -28,7 +28,6 @@ from refnet.signed_graph import (
     extract_network,
     induced_subgraph,
     is_balanced,
-    negative_subgraph,
     switch,
 )
 from refnet.sga import (
@@ -68,9 +67,7 @@ __all__ = [
     "is_network_matrix",
     "parse_coord",
     "parse_mps",
-    "extended_scale",
     "scale",
-    "simple_row_scale",
     "BalanceCertificate",
     "NotBalancedError",
     "SignedGraph",
@@ -78,7 +75,6 @@ __all__ = [
     "extract_network",
     "induced_subgraph",
     "is_balanced",
-    "negative_subgraph",
     "switch",
     "CoverBudgetError",
     "HeuristicResult",

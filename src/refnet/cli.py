@@ -25,6 +25,7 @@ import json
 import random
 import statistics
 import sys
+import traceback
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
@@ -32,12 +33,11 @@ from pathlib import Path
 from refnet.exact import CancelToken, DeletionBudgetError, mbd_exact
 from refnet.matrix_io import MatrixFormatError, SparseMatrix, dump_coord, parse_coord, parse_mps
 from refnet.scaling import scale
-from refnet.sga import CoverBudgetError, sga_repeat, sga_vc
+from refnet.sga import STRATEGIES, CoverBudgetError, sga_repeat, sga_vc
 from refnet.signed_graph import SignedGraph, build_signed_graph
 
 _SERIES = (("SGA", 1), ("SGA3", 3), ("SGA80", 80))
-_STRATEGIES = ("RS", "BFS", "DFS")
-_HEUR_COLUMNS = [f"{series}_{strat}" for series, _ in _SERIES for strat in _STRATEGIES]
+_HEUR_COLUMNS = [f"{series}_{strat}" for series, _ in _SERIES for strat in STRATEGIES]
 
 
 def _detect_format(path: Path, fmt: str) -> str:
@@ -197,23 +197,27 @@ def _bench_one(
     path_str: str, seed: int, timeout: float, no_scaling: bool, fixpoint: bool
 ) -> BenchRecord:
     path = Path(path_str)
+    n = 0
     try:
         _, graph = _prepare(path, "auto", no_scaling, fixpoint)
+        n = graph.n
+        heuristic: dict = {}
+        singles: list[float] = []
+        for series, repeats in _SERIES:
+            for strategy in STRATEGIES:
+                result = sga_repeat(graph, repeats, strategy, seed)
+                heuristic[f"{series}_{strategy}"] = result.k
+                if repeats == 1:
+                    singles.append(result.elapsed)
+        exact = mbd_exact(graph, cancel=CancelToken.after(timeout))
     except (MatrixFormatError, OSError) as exc:
-        return BenchRecord(path.stem, 0, seed, "error", error=str(exc))
-    heuristic: dict = {}
-    singles: list[float] = []
-    for series, repeats in _SERIES:
-        for strategy in _STRATEGIES:
-            result = sga_repeat(graph, repeats, strategy, seed)
-            heuristic[f"{series}_{strategy}"] = result.k
-            if repeats == 1:
-                singles.append(result.elapsed)
-    token = CancelToken.after(timeout)
-    exact = mbd_exact(graph, cancel=token)
+        return BenchRecord(path.stem, n, seed, "error", error=str(exc))
+    except Exception as exc:  # one bad instance must not abort the whole run
+        traceback.print_exc(file=sys.stderr)
+        return BenchRecord(path.stem, n, seed, "error", error=f"{type(exc).__name__}: {exc}")
     record = BenchRecord(
         instance=path.stem,
-        n=graph.n,
+        n=n,
         seed=seed,
         status="ok",
         heuristic=heuristic,
@@ -225,10 +229,6 @@ def _bench_one(
         record.k_exact = exact.k
         record.t_exact = exact.elapsed
     return record
-
-
-def _bench_worker(task: tuple) -> BenchRecord:
-    return _bench_one(*task)
 
 
 def _fmt(value, digits: int = 2) -> str:
@@ -308,11 +308,11 @@ def cmd_bench(args: argparse.Namespace) -> int:
     ]
     if args.jobs > 1 and len(tasks) > 1:
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            records = list(pool.map(_bench_worker, tasks))
+            records = list(pool.map(_bench_one, *zip(*tasks)))
     else:
         records = []
         for task in tasks:
-            records.append(_bench_worker(task))
+            records.append(_bench_one(*task))
             print(f"done: {records[-1].instance} [{records[-1].status}]", file=sys.stderr)
     records.sort(key=lambda r: r.instance)
     text = _bench_csv(records)

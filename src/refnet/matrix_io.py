@@ -17,6 +17,7 @@ Two file formats are supported:
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -103,10 +104,6 @@ class SparseMatrix:
             cols[c].append(i)
         return tuple(tuple(ix) for ix in cols)
 
-    def row(self, r: int) -> list[tuple[int, Fraction]]:
-        """Nonzeros of row ``r`` as (col, value), ascending by column."""
-        return [(self.entries[i][1], self.entries[i][2]) for i in self.row_nonzeros[r]]
-
     def col(self, c: int) -> list[tuple[int, Fraction]]:
         """Nonzeros of column ``c`` as (row, value), ascending by row."""
         return [(self.entries[i][0], self.entries[i][2]) for i in self.col_nonzeros[c]]
@@ -162,10 +159,22 @@ def is_network_matrix(matrix: SparseMatrix) -> bool:
     return all(p <= 1 for p in pos) and all(n <= 1 for n in neg)
 
 
+_EXPONENT = re.compile(r"e[-+]?([\d_]+)\s*\Z", re.IGNORECASE)
+_MAX_EXPONENT = 1000
+
+
 def _parse_numeral(token: str, line_no: int) -> Fraction:
     # Fortran-style exponents (1.5D+2) appear in a few old files; Fraction
     # handles plain/scientific decimals and p/q forms natively.
     text = token.replace("D", "E").replace("d", "e") if ("D" in token or "d" in token) else token
+    # Fraction expands a decimal exponent in full, so a huge one stalls here.
+    exponent = _EXPONENT.search(text)
+    if exponent is not None:
+        digits = exponent.group(1).replace("_", "").lstrip("0")
+        if len(digits) > 4 or int(digits or 0) > _MAX_EXPONENT:
+            raise MatrixFormatError(
+                f"exponent of {token!r} exceeds {_MAX_EXPONENT} in magnitude", line_no
+            )
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError):

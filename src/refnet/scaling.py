@@ -20,35 +20,17 @@ pass converts at least one row, so at most n_rows passes run).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
-from refnet.matrix_io import SparseMatrix, classify_rows
-
-
-@dataclass(frozen=True)
-class ScalingState:
-    """The two bookkeeping arrays of the extended stage.
-
-    ``unit_row[i]`` -- row i is a (0,±1)-row of the current matrix;
-    ``bounded_col[j]`` -- column j has a nonzero in some (0,±1)-row.
-    """
-
-    unit_row: tuple[bool, ...]
-    bounded_col: tuple[bool, ...]
-
-    @classmethod
-    def from_matrix(cls, matrix: SparseMatrix) -> "ScalingState":
-        unit = classify_rows(matrix)
-        bounded = [False] * matrix.n_cols
-        for r, c, _ in matrix.entries:
-            if unit[r]:
-                bounded[c] = True
-        return cls(unit, tuple(bounded))
+from refnet.matrix_io import SparseMatrix
 
 
 class _Workspace:
-    """Mutable value store over a fixed sparsity pattern."""
+    """Mutable value store over a fixed sparsity pattern.
+
+    ``unit[i]`` -- row i is a (0,±1)-row of the current values;
+    ``bounded[j]`` -- column j has a nonzero in some (0,±1)-row.
+    """
 
     def __init__(self, matrix: SparseMatrix):
         self.matrix = matrix
@@ -136,26 +118,6 @@ def _extended_pass(ws: _Workspace) -> bool:
                         ws.scale_col(ws.entry_col(e), ws.vals[e])
                 changed = True
     return changed
-
-
-def simple_row_scale(matrix: SparseMatrix) -> SparseMatrix:
-    """Divide every row whose nonzeros all equal ±x (single x > 0) by x."""
-    ws = _Workspace(matrix)
-    _simple_pass(ws)
-    return ws.to_matrix()
-
-
-def extended_scale(matrix: SparseMatrix, fixpoint: bool = False) -> SparseMatrix:
-    """Run the extended column/row stage; expects simple scaling done already.
-
-    Robust if it was not: rows the simple stage would have normalized are
-    just treated as non-(0,±1)-rows here.  With ``fixpoint`` the pass
-    repeats until no row or column moves.
-    """
-    ws = _Workspace(matrix)
-    while _extended_pass(ws) and fixpoint:
-        pass
-    return ws.to_matrix()
 
 
 def scale(matrix: SparseMatrix, fixpoint: bool = False) -> SparseMatrix:

@@ -23,8 +23,8 @@ from __future__ import annotations
 import random
 import time
 from collections import deque
-from dataclasses import dataclass
-from typing import Sequence
+from dataclasses import dataclass, replace
+from typing import Callable, Sequence
 
 from refnet.exact import vertex_cover
 from refnet.signed_graph import (
@@ -105,36 +105,25 @@ def forest_rs(graph: SignedGraph, rng: random.Random) -> SpanningForest:
     parent = [-1] * n
     parent_sign = [0] * n
     roots: list[int] = []
-    singles: list[tuple[int, int, int]] = []  # (unmarked, marked, sign)
-    doubles: list[tuple[int, int]] = []
+    # Pending (unmarked, marked, sign) pairs; parallel couples wait apart.
+    singles: list[tuple[int, int, int]] = []
+    doubles: list[tuple[int, int, int]] = []
 
     def mark(v: int) -> None:
         marked[v] = True
         for u, m in zip(graph.neighbors[v], graph.masks[v]):
             if not marked[u]:
-                if m == POS | NEG:
-                    doubles.append((u, v))
-                else:
-                    singles.append((u, v, 1 if m == POS else -1))
+                pending = doubles if m == POS | NEG else singles
+                pending.append((u, v, _attach_sign(m)))
 
-    def draw_single() -> tuple[int, int, int] | None:
-        while singles:
-            i = rng.randrange(len(singles))
-            item = singles[i]
-            singles[i] = singles[-1]
-            singles.pop()
+    def draw(pool: list[tuple[int, int, int]]) -> tuple[int, int, int] | None:
+        while pool:
+            i = rng.randrange(len(pool))
+            item = pool[i]
+            pool[i] = pool[-1]
+            pool.pop()
             if not marked[item[0]]:
                 return item
-        return None
-
-    def draw_double() -> tuple[int, int, int] | None:
-        while doubles:
-            i = rng.randrange(len(doubles))
-            u, v = doubles[i]
-            doubles[i] = doubles[-1]
-            doubles.pop()
-            if not marked[u]:
-                return (u, v, 1)
         return None
 
     remaining = n
@@ -145,9 +134,7 @@ def forest_rs(graph: SignedGraph, rng: random.Random) -> SpanningForest:
         mark(root)
         remaining -= 1
         while remaining:
-            item = draw_single()
-            if item is None:
-                item = draw_double()
+            item = draw(singles) or draw(doubles)
             if item is None:
                 break
             u, v, sign = item
@@ -162,27 +149,22 @@ def forest_bfs(graph: SignedGraph) -> SpanningForest:
     """Breadth-first forest; every restart picks an unmarked vertex of
     maximum degree (ties to the lowest index), neighbors scanned ascending."""
     n = graph.n
-    degree = [graph.degree(v) for v in range(n)]
     marked = [False] * n
     parent = [-1] * n
     parent_sign = [0] * n
     roots: list[int] = []
-    remaining = n
-    while remaining:
-        root = -1
-        for v in range(n):
-            if not marked[v] and (root == -1 or degree[v] > degree[root]):
-                root = v
+    # A stable sort keeps ascending indices within each degree.
+    for root in sorted(range(n), key=lambda v: -graph.degree(v)):
+        if marked[root]:
+            continue
         roots.append(root)
         marked[root] = True
-        remaining -= 1
         queue = deque([root])
         while queue:
             v = queue.popleft()
             for u, m in zip(graph.neighbors[v], graph.masks[v]):
                 if not marked[u]:
                     marked[u] = True
-                    remaining -= 1
                     parent[u] = v
                     parent_sign[u] = _attach_sign(m)
                     queue.append(u)
@@ -328,13 +310,25 @@ def _build_forest(
     raise ValueError(f"unknown forest strategy {strategy!r}; expected one of {STRATEGIES}")
 
 
-def _finish(
+def _pass(
     graph: SignedGraph,
-    retained: list[int],
     strategy: str,
-    started: float,
+    rng: random.Random | None,
+    independent_set: Callable[[list[list[int]]], set[int]],
     cover: str,
 ) -> HeuristicResult:
+    """Forest, switch set, negative structure, independent set, retained rows."""
+    started = time.perf_counter()
+    strategy = strategy.upper()
+    forest = _build_forest(graph, strategy, rng)
+    flips = switch_set_from_forest(forest)
+    neg_verts, neg_adj = _negative_structure(graph, flips)
+    in_negative = set(neg_verts)
+    independent = independent_set(neg_adj)
+    retained = sorted(
+        [v for v in range(graph.n) if v not in in_negative]
+        + [neg_verts[i] for i in independent]
+    )
     sub = induced_subgraph(graph, retained)
     certificate = is_balanced(sub)
     assert certificate.balanced, "retained set must induce a balanced subgraph"
@@ -359,18 +353,7 @@ def sga(
     ``rng`` only matters for the RS strategy (an unseeded run defaults to
     ``random.Random(0)`` so results stay reproducible).
     """
-    started = time.perf_counter()
-    strategy = strategy.upper()
-    forest = _build_forest(graph, strategy, rng)
-    flips = switch_set_from_forest(forest)
-    neg_verts, neg_adj = _negative_structure(graph, flips)
-    in_negative = set(neg_verts)
-    independent = greedy_independent_set(neg_adj)
-    retained = sorted(
-        [v for v in range(graph.n) if v not in in_negative]
-        + [neg_verts[i] for i in independent]
-    )
-    return _finish(graph, retained, strategy, started, "greedy")
+    return _pass(graph, strategy, rng, greedy_independent_set, "greedy")
 
 
 def permute_graph(graph: SignedGraph, order: Sequence[int]) -> SignedGraph:
@@ -406,43 +389,27 @@ def sga_repeat(
     """
     if repeats < 1:
         raise ValueError("repeats must be at least 1")
-    strategy = strategy.upper()
     started = time.perf_counter()
     best: HeuristicResult | None = None
     for i in range(repeats):
         rng = random.Random(seed + i)
+        order = list(range(graph.n))
         if i == 0:
-            order = list(range(graph.n))
             permuted = graph
         else:
-            order = list(range(graph.n))
             rng.shuffle(order)
             permuted = permute_graph(graph, order)
         result = sga(permuted, strategy, rng)
-        retained = sorted(order[v] for v in result.retained)
-        reflection = frozenset(order[v] for v in result.reflection)
-        if best is None or len(retained) > len(best.retained):
-            best = HeuristicResult(
-                retained=tuple(retained),
-                k=result.k,
-                reflection=reflection,
-                strategy=strategy,
+        if best is None or len(result.retained) > len(best.retained):
+            best = replace(
+                result,
+                retained=tuple(sorted(order[v] for v in result.retained)),
+                reflection=frozenset(order[v] for v in result.reflection),
                 repeats=repeats,
                 seed=seed,
-                elapsed=0.0,
-                cover=result.cover,
             )
     assert best is not None
-    return HeuristicResult(
-        retained=best.retained,
-        k=best.k,
-        reflection=best.reflection,
-        strategy=strategy,
-        repeats=repeats,
-        seed=seed,
-        elapsed=time.perf_counter() - started,
-        cover=best.cover,
-    )
+    return replace(best, elapsed=time.perf_counter() - started)
 
 
 def sga_vc(
@@ -459,26 +426,15 @@ def sga_vc(
     the same forest.  ``vc_budget`` caps the sweep; exhausting it raises
     :class:`CoverBudgetError` so callers can fall back to greedy.
     """
-    started = time.perf_counter()
-    strategy = strategy.upper()
-    forest = _build_forest(graph, strategy, rng)
-    flips = switch_set_from_forest(forest)
-    neg_verts, neg_adj = _negative_structure(graph, flips)
-    in_negative = set(neg_verts)
-    budget = len(neg_verts) if vc_budget is None else vc_budget
-    cover: set[int] | None = None
-    for size in range(budget + 1):
-        cover = vertex_cover(neg_adj, size)
-        if cover is not None:
-            break
-    if cover is None:
+
+    def cover_complement(adjacency: list[list[int]]) -> set[int]:
+        budget = len(adjacency) if vc_budget is None else vc_budget
+        for size in range(budget + 1):
+            cover = vertex_cover(adjacency, size)
+            if cover is not None:
+                return set(range(len(adjacency))) - cover
         raise CoverBudgetError(
             f"no vertex cover of size <= {budget} found within the budget"
         )
-    independent = set(range(len(neg_verts))) - cover
-    retained = sorted(
-        [v for v in range(graph.n) if v not in in_negative]
-        + [neg_verts[i] for i in independent]
-    )
-    result = _finish(graph, retained, strategy, started, "exact")
-    return result
+
+    return _pass(graph, strategy, rng, cover_complement, "exact")

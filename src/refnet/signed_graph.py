@@ -44,7 +44,7 @@ class SignedGraph:
     ``masks[v]`` carries the aligned sign bitmasks (POS, NEG or both).
     ``tags[v]`` identifies the vertex one level up: the originating matrix
     row for graphs built from a matrix, the parent graph's vertex id for
-    induced and negative subgraphs.
+    induced subgraphs.
     """
 
     n: int
@@ -118,13 +118,6 @@ class SignedGraph:
     def degree(self, v: int) -> int:
         """Number of distinct neighbors; a parallel +/- pair counts once."""
         return len(self.neighbors[v])
-
-    def pair_mask(self, u: int, v: int) -> int:
-        """Sign bitmask of the pair (u, v); 0 when not adjacent."""
-        for w, m in zip(self.neighbors[u], self.masks[u]):
-            if w == v:
-                return m
-        return 0
 
 
 @dataclass(frozen=True)
@@ -263,29 +256,6 @@ def is_balanced(graph: SignedGraph) -> BalanceCertificate:
     return BalanceCertificate(switch_set=switch_set)
 
 
-def negative_subgraph(graph: SignedGraph) -> SignedGraph:
-    """Subgraph induced by the negative edges.
-
-    Vertices are the endpoints of negative edges only (isolated vertices are
-    excluded); all edges are negative.  ``tags`` maps back to the input
-    graph's vertex ids.
-    """
-    keep: set[int] = set()
-    for v in range(graph.n):
-        for u, m in zip(graph.neighbors[v], graph.masks[v]):
-            if m & NEG:
-                keep.add(v)
-                keep.add(u)
-    verts = sorted(keep)
-    index = {v: i for i, v in enumerate(verts)}
-    pair_masks: dict[tuple[int, int], int] = {}
-    for v in verts:
-        for u, m in zip(graph.neighbors[v], graph.masks[v]):
-            if m & NEG and v < u:
-                pair_masks[(index[v], index[u])] = NEG
-    return SignedGraph._from_pair_masks(len(verts), pair_masks, verts)
-
-
 def induced_subgraph(graph: SignedGraph, vertices: Iterable[int]) -> SignedGraph:
     """Subgraph on the given vertices with all signs preserved.
 
@@ -346,8 +316,3 @@ def extract_network(
         )
     return network, reflected
 
-
-def dump_graph(graph: SignedGraph) -> str:
-    """Debug dump: one 'u v sign' line per edge."""
-    lines = [f"{u} {v} {'+' if s == 1 else '-'}" for u, v, s in graph.edges]
-    return "\n".join(lines) + ("\n" if lines else "")

@@ -106,9 +106,32 @@ def cycle_vertices_distinct(cycle: tuple[tuple[int, int, int], ...]) -> bool:
     return len(verts) == len(set(verts))
 
 
+def pair_mask(graph: SignedGraph, u: int, v: int) -> int:
+    """Sign bitmask of the pair (u, v); 0 when not adjacent."""
+    for w, m in zip(graph.neighbors[u], graph.masks[u]):
+        if w == v:
+            return m
+    return 0
+
+
 def edge_in_graph(graph: SignedGraph, a: int, b: int, sign: int) -> bool:
-    mask = graph.pair_mask(a, b)
+    mask = pair_mask(graph, a, b)
     return bool(mask & (POS if sign == 1 else NEG))
+
+
+def negative_subgraph(graph: SignedGraph) -> SignedGraph:
+    """Subgraph induced by the negative edges.
+
+    Vertices are the endpoints of negative edges only (isolated vertices are
+    excluded); all edges are negative.  ``tags`` maps back to the input
+    graph's vertex ids.  A reference for the heuristic's in-place step.
+    """
+    pairs = [(u, v) for u, v, sign in graph.edges if sign == -1]
+    verts = sorted({x for pair in pairs for x in pair})
+    index = {v: i for i, v in enumerate(verts)}
+    return SignedGraph.from_edges(
+        len(verts), [(index[u], index[v], -1) for u, v in pairs], tags=verts
+    )
 
 
 def is_independent_set(adjacency, chosen) -> bool:

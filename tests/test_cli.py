@@ -2,10 +2,12 @@ from __future__ import annotations
 
 import csv
 import json
+import multiprocessing
 import random
 
 import pytest
 
+import refnet.cli
 from helpers import matrix_realizing, random_signed_graph, write_mps
 from refnet.cli import main
 from refnet.exact import brute_force_mbd
@@ -84,6 +86,20 @@ class TestExtract:
         path.write_bytes(b"2 2 1\n1 1 \xff\n")
         assert main(["extract", str(path)]) == 2
         assert "line 2" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "name,text",
+        [
+            ("huge.coord", "1 1 1\n1 1 1e3000000\n"),
+            ("huge.mps", "NAME T\nROWS\n E  R1\nCOLUMNS\n    X  R1  1e3000000\nENDATA\n"),
+        ],
+        ids=["coord", "mps"],
+    )
+    def test_huge_exponent_exit_code(self, tmp_path, capsys, name, text):
+        path = tmp_path / name
+        path.write_text(text)
+        assert main(["extract", str(path)]) == 2
+        assert "exponent" in capsys.readouterr().err
 
     def test_csv_output(self, fig_coord, capsys):
         assert main(["extract", str(fig_coord), "--out", "csv"]) == 0
@@ -298,6 +314,27 @@ class TestBench:
         status = {row[0]: row[-1] for row in data}
         assert status["binary"].startswith("error: line 1")
         assert status["fig"] == "ok"
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_failing_instance_is_an_error_row(self, tmp_path, capsys, monkeypatch, jobs):
+        if jobs != "1" and multiprocessing.get_start_method() != "fork":
+            pytest.skip("worker processes only inherit the patch when forked")
+        directory = tmp_path / "instances"
+        directory.mkdir()
+        (directory / "fig.coord").write_text(dump_coord(matrix_realizing(fig_graph())))
+        (directory / "net.coord").write_text(network_coord())
+        real = refnet.cli.mbd_exact
+
+        def flaky(graph, **kwargs):
+            if graph.n == 3:  # the network instance
+                raise RuntimeError("solver broke")
+            return real(graph, **kwargs)
+
+        monkeypatch.setattr(refnet.cli, "mbd_exact", flaky)
+        assert main(["bench", str(directory), "--timeout", "60", "--jobs", jobs]) == 0
+        _, data, _ = read_bench_csv(capsys.readouterr().out)
+        status = {row[0]: row[-1] for row in data}
+        assert status == {"fig": "ok", "net": "error: RuntimeError: solver broke"}
 
     def test_parallel_workers_match_sequential(self, tmp_path, capsys):
         directory = make_bench_dir(tmp_path)

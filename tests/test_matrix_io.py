@@ -312,3 +312,30 @@ def test_arbitrary_bytes_parse_or_format_error(parser, data):
 def test_coord_non_utf8_names_the_line():
     with pytest.raises(MatrixFormatError, match="line 3.*UTF-8"):
         parse_coord(b"% header next\n2 2 1\n1 1 \xff\n")
+
+
+class TestExponentBound:
+    """Fraction expands a decimal exponent in full, so huge ones are format errors."""
+
+    @pytest.mark.parametrize("token", ["1e3000000", "1e-1001", "2.5D+3000000"])
+    def test_huge_exponent_names_the_line(self, token):
+        with pytest.raises(MatrixFormatError, match="line 3.*exponent") as err:
+            parse_coord(f"% header next\n1 1 1\n1 1 {token}\n")
+        assert err.value.line_no == 3
+
+    def test_huge_exponent_in_mps(self):
+        text = "NAME T\nROWS\n E  R1\nCOLUMNS\n    X  R1  1e3000000\nENDATA\n"
+        with pytest.raises(MatrixFormatError, match="line 5.*exponent"):
+            parse_mps(text)
+
+    @pytest.mark.parametrize(
+        "token,value",
+        [
+            ("1e300", Fraction(10) ** 300),
+            ("1.5D+2", Fraction(150)),
+            ("-2e-1000", -Fraction(2, 10**1000)),
+            ("3E+0001000", 3 * Fraction(10) ** 1000),
+        ],
+    )
+    def test_exponents_up_to_the_bound_parse(self, token, value):
+        assert parse_coord(f"1 1 1\n1 1 {token}\n").entries[0][2] == value

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 from helpers import random_matrix
 from refnet.matrix_io import SparseMatrix, classify_rows
-from refnet.scaling import ScalingState, extended_scale, scale, simple_row_scale
+from refnet.scaling import _extended_pass, _simple_pass, _Workspace, scale
 
 
 def mat(n_rows, n_cols, entries):
@@ -18,6 +18,20 @@ def values(m):
 
 def unit_count(m):
     return sum(classify_rows(m))
+
+
+def simple_stage(m):
+    """The simple row-scaling stage of :func:`scale` on its own."""
+    ws = _Workspace(m)
+    _simple_pass(ws)
+    return ws.to_matrix()
+
+
+def extended_stage(m):
+    """One extended pass of :func:`scale`, without the simple stage first."""
+    ws = _Workspace(m)
+    _extended_pass(ws)
+    return ws.to_matrix()
 
 
 def is_diagonal_rescaling(before: SparseMatrix, after: SparseMatrix) -> bool:
@@ -68,7 +82,7 @@ def is_diagonal_rescaling(before: SparseMatrix, after: SparseMatrix) -> bool:
 class TestSimpleRowScale:
     def test_uniform_magnitude_row(self):
         m = mat(1, 4, [(0, 0, 2), (0, 1, -2), (0, 3, 2)])
-        assert values(simple_row_scale(m)) == [
+        assert values(simple_stage(m)) == [
             (0, 0, Fraction(1)),
             (0, 1, Fraction(-1)),
             (0, 3, Fraction(1)),
@@ -76,22 +90,22 @@ class TestSimpleRowScale:
 
     def test_already_unit_row_unchanged(self):
         m = mat(1, 2, [(0, 0, 1), (0, 1, -1)])
-        assert simple_row_scale(m) == m
+        assert simple_stage(m) == m
 
     def test_mixed_magnitudes_unchanged(self):
         m = mat(1, 2, [(0, 0, 3), (0, 1, 1)])
-        assert simple_row_scale(m) == m
+        assert simple_stage(m) == m
 
     def test_negative_uniform_signs_preserved(self):
         m = mat(1, 2, [(0, 0, -2), (0, 1, 2)])
-        assert values(simple_row_scale(m)) == [(0, 0, Fraction(-1)), (0, 1, Fraction(1))]
+        assert values(simple_stage(m)) == [(0, 0, Fraction(-1)), (0, 1, Fraction(1))]
 
     def test_idempotent(self):
         rng = random.Random(3)
         for _ in range(40):
             m = random_matrix(rng)
-            once = simple_row_scale(m)
-            assert simple_row_scale(once) == once
+            once = simple_stage(m)
+            assert simple_stage(once) == once
 
 
 class TestExtendedScale:
@@ -120,7 +134,7 @@ class TestExtendedScale:
         # row 1 fixes both columns as bounded; row 2 sees J with magnitudes
         # {2, 3} and must stay as it is.
         m = mat(2, 2, [(0, 0, 1), (0, 1, 1), (1, 0, 2), (1, 1, 3)])
-        out = extended_scale(simple_row_scale(m))
+        out = extended_stage(simple_stage(m))
         assert values(out)[2:] == [(1, 0, Fraction(2)), (1, 1, Fraction(3))]
 
 
@@ -138,16 +152,16 @@ class TestInvariants:
         rng = random.Random(5)
         for _ in range(60):
             m = random_matrix(rng)
-            simple = simple_row_scale(m)
+            simple = simple_stage(m)
             assert unit_count(simple) >= unit_count(m)
-            extended = extended_scale(simple)
+            extended = extended_stage(simple)
             assert unit_count(extended) >= unit_count(simple)
 
     def test_diagonal_rescaling_structure(self):
         rng = random.Random(6)
         for _ in range(60):
             m = random_matrix(rng)
-            assert is_diagonal_rescaling(m, simple_row_scale(m))
+            assert is_diagonal_rescaling(m, simple_stage(m))
             assert is_diagonal_rescaling(m, scale(m))
 
     def test_fixpoint_stable(self):
@@ -155,7 +169,7 @@ class TestInvariants:
         for _ in range(40):
             m = random_matrix(rng)
             settled = scale(m, fixpoint=True)
-            assert extended_scale(settled) == settled
+            assert extended_stage(settled) == settled
 
     def test_single_pass_sees_earlier_actions(self):
         # Row 1's column divisions turn row 2 into a uniform-magnitude row;
@@ -173,14 +187,16 @@ class TestInvariants:
 
 
 class TestScalingState:
+    """The extended stage's two bookkeeping arrays, as the workspace sets them up."""
+
     def test_state_matches_definition(self):
         m = mat(3, 3, [(0, 0, 1), (0, 1, -1), (1, 1, 2), (2, 2, 1)])
-        state = ScalingState.from_matrix(m)
-        assert state.unit_row == (True, False, True)
-        assert state.bounded_col == (True, True, True)
+        ws = _Workspace(m)
+        assert ws.unit == [True, False, True]
+        assert ws.bounded == [True, True, True]
 
     def test_unbounded_column(self):
         m = mat(2, 2, [(0, 0, 1), (1, 1, 2)])
-        state = ScalingState.from_matrix(m)
-        assert state.unit_row == (True, False)
-        assert state.bounded_col == (True, False)
+        ws = _Workspace(m)
+        assert ws.unit == [True, False]
+        assert ws.bounded == [True, False]

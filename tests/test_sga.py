@@ -7,6 +7,8 @@ import pytest
 from helpers import (
     edge_in_graph,
     is_maximal_independent_set,
+    negative_subgraph,
+    pair_mask,
     random_balanced_graph,
     random_signed_graph,
 )
@@ -155,7 +157,7 @@ class TestSwitchSetFromForest:
             flips = switch_set_from_forest(forest)
             switched = switch(g, flips)
             for child, parent, _ in forest.edges:
-                mask = switched.pair_mask(child, parent)
+                mask = pair_mask(switched, child, parent)
                 assert mask & 1  # a positive edge joins every tree pair
 
 
@@ -319,9 +321,8 @@ class TestSgaVc:
 
 def test_negative_structure_matches_public_pipeline():
     # the heuristic's in-place step-4 computation must agree with the
-    # composition switch -> negative_subgraph
+    # composition switch -> negative_subgraph (the test helper)
     from refnet.sga import _negative_structure
-    from refnet.signed_graph import negative_subgraph
 
     rng = random.Random(31)
     for _ in range(60):

@@ -9,6 +9,7 @@ from helpers import (
     edge_in_graph,
     is_closed_walk,
     matrix_realizing,
+    negative_subgraph,
     odd_negative_count,
     random_balanced_graph,
     random_matrix,
@@ -19,11 +20,9 @@ from refnet.signed_graph import (
     NotBalancedError,
     SignedGraph,
     build_signed_graph,
-    dump_graph,
     extract_network,
     induced_subgraph,
     is_balanced,
-    negative_subgraph,
     switch,
 )
 
@@ -229,9 +228,3 @@ class TestExtractNetwork:
             m = matrix_realizing(g)
             net, _ = extract_network(m, range(g.n))
             assert is_network_matrix(net)
-
-
-def test_dump_graph_format():
-    text = dump_graph(fig_graph())
-    assert text.splitlines()[0] == "0 1 -"
-    assert "2 3 +" in text and "2 3 -" in text

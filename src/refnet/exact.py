@@ -10,12 +10,22 @@ always swap it for an endpoint of its edge.
 Bipartization itself is solved by iterative compression: vertices are
 inserted one at a time (ascending, for reproducibility) while a transversal
 of size at most a budget is maintained; when it overflows to budget + 1 the
-compression step enumerates every way to split the current transversal into
+compression step searches the ways to split the current transversal into
 deleted / left-side / right-side vertices, rejects splits with a same-side
 edge, and asks whether few enough remaining vertices separate the would-be-
 left from the would-be-right attachment points -- a vertex separator problem
-handed to :mod:`refnet.flow`.  The enumeration carries 3^(budget+1) splits,
-halved by fixing the side of the first kept vertex.
+handed to :mod:`refnet.flow`.
+
+The splits form a tree that decides one transversal vertex per level.  Going
+down it, kept vertices only add terminals and a deleted one only lowers the
+separator budget, so each search node continues its parent's maximum flow
+from where it stopped (Hüffner, "Algorithm Engineering for Optimal Graph
+Bipartization", JGAA 13(2), 2009, reuses flows between splits the same way)
+and prunes its subtree once that flow exceeds the budget left: no split
+below it can succeed.  Leaves are still visited in the fixed order of the
+full enumeration, so the first feasible split is the same one; in the worst
+case the tree has 3^(budget+1) leaves, halved by fixing the side of the
+first kept vertex.
 
 The budget starts at zero and grows inside that one pass: a failed
 compression proves the current prefix needs more than the budget, and no
@@ -33,7 +43,7 @@ import time
 from dataclasses import dataclass
 from typing import Sequence
 
-from refnet.flow import SeparatorSolver
+from refnet.flow import Residual, SeparatorSolver
 from refnet.signed_graph import (
     NEG,
     POS,
@@ -104,8 +114,9 @@ class ExactResult:
     ``deletion`` balances the graph and no smaller set does (the growing
     budget proves both).  ``lower_bound`` is proven: every balanced
     deletion has at least that many vertices; it equals ``k`` on "optimal"
-    and is the budget reached on "timeout".  ``nodes_explored`` counts
-    transversal splits examined across all compression steps.
+    and is the budget reached on "timeout".  ``nodes_explored`` counts the
+    nodes of the pruned split search examined across all compression steps
+    (partial splits as well as complete ones).
     """
 
     status: str
@@ -199,7 +210,11 @@ def _compress_transversal(
     stats: dict,
 ) -> set[int] | None:
     """Replace a size-(budget+1) transversal of the first ``upto`` vertices
-    by one of size <= budget, or report that none exists."""
+    by one of size <= budget, or report that none exists.
+
+    Depth-first branch and bound over the splits; ``stats["splits"]`` counts
+    the search nodes examined.  ``cancel`` is polled every 64 flow runs.
+    """
     xs = sorted(transversal)
     x_set = set(xs)
     rest = [v for v in range(upto) if v not in x_set]
@@ -256,33 +271,51 @@ def _compress_transversal(
                 m |= 1 << rest_index[u]
         rest_nbr_mask.append(m)
 
+    # Keeping x on side A puts its neighbors outside the transversal on
+    # side B: those of reference color 1 keep their color (terminals_ref),
+    # those of color 0 must flip (terminals_flip).  Side B mirrors this.
+    not_color = full_mask ^ color_mask
+    side_terminals = [
+        ((m & color_mask, m & not_color), (m & not_color, m & color_mask))
+        for m in rest_nbr_mask
+    ]
+
     solver = SeparatorSolver(n_rest, rest_adj)
     q = len(xs)
     SIDE_A, SIDE_B, DROP = 0, 1, 2
     assign = [0] * q
-    leaves = 0
+    flows = 0
 
-    def search(i: int, req_zero: int, req_one: int, dropped: int) -> set[int] | None:
-        nonlocal leaves
-        if i == q:
-            leaves += 1
-            stats["splits"] = stats.get("splits", 0) + 1
-            if cancel is not None and leaves % 64 == 0 and cancel.expired():
+    def search(
+        i: int,
+        ref: int,
+        flip: int,
+        dropped: int,
+        residual: Residual,
+        cut: list[int],
+        grown: bool,
+    ) -> set[int] | None:
+        # A node with the first i transversal vertices decided and terminal
+        # masks ref/flip.  ``residual`` holds a maximum flow between its
+        # parent's terminals and ``cut`` that flow's separator; ``grown``
+        # says whether deciding vertex i - 1 added terminals.
+        nonlocal flows
+        stats["splits"] = stats.get("splits", 0) + 1
+        flow_budget = budget - dropped
+        if (ref & flip).bit_count() > flow_budget:
+            return None
+        if grown and ref and flip:
+            flows += 1
+            if cancel is not None and flows % 64 == 0 and cancel.expired():
                 raise OperationCancelled
-            flow_budget = budget - dropped
-            terminals_ref = (req_zero & (full_mask ^ color_mask)) | (req_one & color_mask)
-            terminals_flip = (req_zero & color_mask) | (req_one & (full_mask ^ color_mask))
-            if (terminals_ref & terminals_flip).bit_count() > flow_budget:
+            residual = residual.copy()
+            cut = solver.solve(_set_bits(ref), _set_bits(flip), flow_budget, residual)
+            if cut is None:
                 return None
-            dropped_set = {xs[j] for j in range(q) if assign[j] == DROP}
-            if terminals_ref == 0 or terminals_flip == 0:
-                return dropped_set
-            separator = solver.solve(
-                _set_bits(terminals_ref), _set_bits(terminals_flip), flow_budget
-            )
-            if separator is None:
-                return None
-            return dropped_set | {rest[j] for j in separator}
+        elif residual.flow > flow_budget:
+            return None
+        if i == q:
+            return {xs[j] for j in range(q) if assign[j] == DROP} | {rest[j] for j in cut}
 
         first_kept_pending = dropped == i
         for value in (SIDE_A, SIDE_B, DROP):
@@ -292,20 +325,21 @@ def _compress_transversal(
                 if dropped + 1 > budget:
                     continue
                 assign[i] = DROP
-                found = search(i + 1, req_zero, req_one, dropped + 1)
+                found = search(i + 1, ref, flip, dropped + 1, residual, cut, False)
             else:
                 if any(assign[j] == value for j in x_nbrs[i]):
                     continue  # same-side edge inside the kept transversal
                 assign[i] = value
-                if value == SIDE_A:
-                    found = search(i + 1, req_zero, req_one | rest_nbr_mask[i], dropped)
-                else:
-                    found = search(i + 1, req_zero | rest_nbr_mask[i], req_one, dropped)
+                add_ref, add_flip = side_terminals[i][value]
+                found = search(
+                    i + 1, ref | add_ref, flip | add_flip, dropped, residual, cut,
+                    bool(add_ref & ~ref or add_flip & ~flip),
+                )
             if found is not None:
                 return found
         return None
 
-    return search(0, 0, 0, 0)
+    return search(0, 0, 0, 0, solver.residual(), [], False)
 
 
 def odd_cycle_transversal(

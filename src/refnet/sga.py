@@ -20,6 +20,7 @@ s + i, and the first repetition keeps the identity permutation.
 
 from __future__ import annotations
 
+import heapq
 import random
 import time
 from collections import deque
@@ -91,6 +92,35 @@ def _attach_sign(mask: int) -> int:
     return -1 if mask == NEG else 1
 
 
+class _RankTree:
+    """Fenwick tree over the set {0, ..., n-1}: removal and rank selection."""
+
+    __slots__ = ("n", "tree")
+
+    def __init__(self, n: int):
+        self.n = n
+        # Node i (1-based) counts the members in (i - lowbit(i), i].
+        self.tree = [i & -i for i in range(n + 1)]
+
+    def remove(self, v: int) -> None:
+        tree, i = self.tree, v + 1
+        while i <= self.n:
+            tree[i] -= 1
+            i += i & -i
+
+    def select(self, rank: int) -> int:
+        """The member with ``rank`` smaller members."""
+        tree, i = self.tree, 0
+        step = 1 << self.n.bit_length()
+        while step:
+            j = i + step
+            if j <= self.n and tree[j] <= rank:
+                i = j
+                rank -= tree[j]
+            step >>= 1
+        return i
+
+
 def forest_rs(graph: SignedGraph, rng: random.Random) -> SpanningForest:
     """Random-search forest.
 
@@ -109,8 +139,12 @@ def forest_rs(graph: SignedGraph, rng: random.Random) -> SpanningForest:
     singles: list[tuple[int, int, int]] = []
     doubles: list[tuple[int, int, int]] = []
 
+    # Restart roots are drawn by rank among the unmarked vertices, ascending.
+    unmarked = _RankTree(n)
+
     def mark(v: int) -> None:
         marked[v] = True
+        unmarked.remove(v)
         for u, m in zip(graph.neighbors[v], graph.masks[v]):
             if not marked[u]:
                 pending = doubles if m == POS | NEG else singles
@@ -128,8 +162,7 @@ def forest_rs(graph: SignedGraph, rng: random.Random) -> SpanningForest:
 
     remaining = n
     while remaining:
-        pool = [v for v in range(n) if not marked[v]]
-        root = pool[rng.randrange(len(pool))]
+        root = unmarked.select(rng.randrange(remaining))
         roots.append(root)
         mark(root)
         remaining -= 1
@@ -238,25 +271,22 @@ def greedy_independent_set(
     alive = [True] * n
     deg = [len(adjacency[v]) for v in range(n)]
     chosen: set[int] = set()
-    remaining = n
-    while remaining:
-        best = -1
-        for v in range(n):
-            if alive[v] and (
-                best == -1
-                or deg[v] < deg[best]
-                or (deg[v] == deg[best] and pos[v] < pos[best])
-            ):
-                best = v
+    # Lazy heap: an entry is stale once its vertex died or lost degree.
+    heap = [(deg[v], pos[v], v) for v in range(n)]
+    heapq.heapify(heap)
+    while heap:
+        d, _, best = heapq.heappop(heap)
+        if not alive[best] or d != deg[best]:
+            continue
         chosen.add(best)
         killed = [best] + [u for u in adjacency[best] if alive[u]]
         for u in killed:
             alive[u] = False
-        remaining -= len(killed)
         for u in killed:
             for w in adjacency[u]:
                 if alive[w]:
                     deg[w] -= 1
+                    heapq.heappush(heap, (deg[w], pos[w], w))
     return chosen
 
 

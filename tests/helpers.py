@@ -45,6 +45,29 @@ def random_balanced_graph(
     return SignedGraph.from_edges(n, edges)
 
 
+def planted_graph(rng, n, n_edges, n_bad, sabotage=16) -> SignedGraph:
+    """Balanced backbone plus ``n_bad`` saboteurs with random-sign edges.
+
+    Deleting the saboteurs restores balance, so the optimum is <= n_bad.
+    """
+    labels = [rng.randint(0, 1) for _ in range(n)]
+    edges = set()
+    while len(edges) < n_edges:
+        u, v = rng.randrange(n), rng.randrange(n)
+        if u == v:
+            continue
+        u, v = min(u, v), max(u, v)
+        edges.add((u, v, 1 if labels[u] == labels[v] else -1))
+    for w in rng.sample(range(n), n_bad):
+        for _ in range(sabotage):
+            v = rng.randrange(n)
+            if v == w:
+                continue
+            a, b = min(w, v), max(w, v)
+            edges.add((a, b, 1 if rng.random() < 0.5 else -1))
+    return SignedGraph.from_edges(n, sorted(edges))
+
+
 def matrix_realizing(graph: SignedGraph) -> SparseMatrix:
     """Matrix whose signed graph is exactly ``graph`` (one column per edge).
 

@@ -2,10 +2,17 @@ from __future__ import annotations
 
 import itertools
 import random
+import time
 
 import pytest
 
-from helpers import milp_mbd, random_balanced_graph, random_signed_graph, simple_adjacency
+from helpers import (
+    milp_mbd,
+    planted_graph,
+    random_balanced_graph,
+    random_signed_graph,
+    simple_adjacency,
+)
 from refnet.exact import (
     CancelToken,
     DeletionBudgetError,
@@ -33,29 +40,6 @@ def complete(n):
 
 def odd_cycle(n):
     return [sorted(((v - 1) % n, (v + 1) % n)) for v in range(n)]
-
-
-def planted_graph(rng, n, n_edges, n_bad, sabotage=16) -> SignedGraph:
-    """Balanced backbone plus ``n_bad`` saboteurs with random-sign edges.
-
-    Deleting the saboteurs restores balance, so the optimum is <= n_bad.
-    """
-    labels = [rng.randint(0, 1) for _ in range(n)]
-    edges = set()
-    while len(edges) < n_edges:
-        u, v = rng.randrange(n), rng.randrange(n)
-        if u == v:
-            continue
-        u, v = min(u, v), max(u, v)
-        edges.add((u, v, 1 if labels[u] == labels[v] else -1))
-    for w in rng.sample(range(n), n_bad):
-        for _ in range(sabotage):
-            v = rng.randrange(n)
-            if v == w:
-                continue
-            a, b = min(w, v), max(w, v)
-            edges.add((a, b, 1 if rng.random() < 0.5 else -1))
-    return SignedGraph.from_edges(n, sorted(edges))
 
 
 class CancelAfter(CancelToken):
@@ -173,6 +157,22 @@ class TestOddCycleTransversal:
         token.cancel()
         with pytest.raises(OperationCancelled):
             odd_cycle_transversal(complete(8), 3, cancel=token)
+
+    def test_cancellation_is_prompt_inside_a_long_compression(self):
+        # pruning makes leaves rare, so the search polls per flow run; a
+        # 60-vertex G(n, 0.12) graph keeps compressing far past 0.3 s
+        rng = random.Random(7)
+        adj = [[] for _ in range(60)]
+        for u, v in itertools.combinations(range(60), 2):
+            if rng.random() < 0.12:
+                adj[u].append(v)
+                adj[v].append(u)
+        stats = {}
+        started = time.monotonic()
+        with pytest.raises(OperationCancelled):
+            odd_cycle_transversal(adj, 60, CancelToken.after(0.3), stats)
+        assert time.monotonic() - started < 2
+        assert stats["lower_bound"] >= 8
 
     def test_rejects_negative_k(self):
         with pytest.raises(ValueError):

@@ -118,3 +118,30 @@ class TestSeparator:
         middle = solver.solve([0], [1], 1)
         assert middle is not None and is_separator(adj, [0], [1], middle)
         assert solver.solve([0], [2], 1) == first  # unchanged after reuse
+
+    def test_grown_residual_matches_fresh_solve(self):
+        # terminals only ever grow on one residual, as in the compression
+        # search; each step must answer exactly as a flow from zero does,
+        # also after a step whose flow overshot its limit
+        rng = random.Random(42)
+        for _ in range(60):
+            adj = simple_adjacency(rng, n_max=9, p=0.4)
+            n = len(adj)
+            solver = SeparatorSolver(n, adj)
+            residual = solver.residual()
+            sources: set[int] = set()
+            sinks: set[int] = set()
+            for _ in range(4):
+                sources |= {v for v in range(n) if rng.random() < 0.2}
+                sinks |= {v for v in range(n) if rng.random() < 0.2}
+                limit = rng.randint(0, n)
+                grown = solver.solve(sorted(sources), sorted(sinks), limit, residual)
+                fresh = solver.solve(sorted(sources), sorted(sinks), limit)
+                assert grown == fresh, (adj, sources, sinks, limit)
+                best = brute_force_separator(adj, sources, sinks)
+                if best > limit:
+                    assert fresh is None
+                else:
+                    assert fresh is not None and len(fresh) == best
+                    assert fresh == sorted(fresh)
+                    assert is_separator(adj, sources, sinks, fresh)

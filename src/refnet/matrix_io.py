@@ -41,9 +41,11 @@ Entry = tuple[int, int, Fraction]
 class SparseMatrix:
     """Immutable sparse matrix over exact rationals.
 
-    ``entries`` is sorted by (row, col); no entry is zero and no (row, col)
-    pair repeats.  ``row_names``/``col_names`` are optional identifiers kept
-    from the source file so reports can name rows instead of numbering them.
+    ``entries`` is strictly increasing in (row, col), so no (row, col) pair
+    repeats, and no entry is zero; construction checks both.
+    :meth:`from_entries` sorts and coerces arbitrary input.
+    ``row_names``/``col_names`` are optional identifiers kept from the source
+    file so reports can name rows instead of numbering them.
     """
 
     n_rows: int
@@ -53,15 +55,21 @@ class SparseMatrix:
     col_names: tuple[str, ...] | None = None
 
     def __post_init__(self):
-        seen: set[tuple[int, int]] = set()
+        # One linear pass: sortedness makes a repeated (row, col) adjacent,
+        # and the flat index r * n_cols + c orders entries as (row, col) does.
+        n_rows, n_cols = self.n_rows, self.n_cols
+        previous = -1
         for r, c, v in self.entries:
-            if not (0 <= r < self.n_rows and 0 <= c < self.n_cols):
+            if not (0 <= r < n_rows and 0 <= c < n_cols):
                 raise ValueError(f"entry ({r}, {c}) out of range")
-            if v == 0:
+            if not v:
                 raise ValueError(f"zero entry stored at ({r}, {c})")
-            if (r, c) in seen:
-                raise ValueError(f"duplicate entry at ({r}, {c})")
-            seen.add((r, c))
+            index = r * n_cols + c
+            if index <= previous:
+                if index == previous:
+                    raise ValueError(f"duplicate entry at ({r}, {c})")
+                raise ValueError(f"entry ({r}, {c}) out of (row, col) order")
+            previous = index
         if self.row_names is not None and len(self.row_names) != self.n_rows:
             raise ValueError("row_names length mismatch")
         if self.col_names is not None and len(self.col_names) != self.n_cols:
@@ -78,7 +86,10 @@ class SparseMatrix:
     ) -> "SparseMatrix":
         """Build a matrix, coercing values to Fraction and sorting entries."""
         normalized = tuple(
-            sorted((r, c, Fraction(v)) for r, c, v in entries)
+            sorted(
+                (r, c, v if isinstance(v, Fraction) else Fraction(v))
+                for r, c, v in entries
+            )
         )
         return cls(
             n_rows,
@@ -140,7 +151,7 @@ def classify_rows(matrix: SparseMatrix) -> tuple[bool, ...]:
     """
     unit = [True] * matrix.n_rows
     for r, _, v in matrix.entries:
-        if v != 1 and v != -1:
+        if v.denominator != 1 or v.numerator not in (1, -1):
             unit[r] = False
     return tuple(unit)
 
@@ -150,9 +161,11 @@ def is_network_matrix(matrix: SparseMatrix) -> bool:
     pos = [0] * matrix.n_cols
     neg = [0] * matrix.n_cols
     for _, c, v in matrix.entries:
-        if v == 1:
+        if v.denominator != 1:
+            return False
+        if v.numerator == 1:
             pos[c] += 1
-        elif v == -1:
+        elif v.numerator == -1:
             neg[c] += 1
         else:
             return False
@@ -181,6 +194,35 @@ def _parse_numeral(token: str, line_no: int) -> Fraction:
         raise MatrixFormatError(f"unparsable numeral {token!r}", line_no) from None
 
 
+def _numeral(token: str, line_no: int, memo: dict[str, Fraction]) -> Fraction:
+    """``_parse_numeral`` once per distinct token of one file.
+
+    Files repeat a few numerals thousands of times.  A token that fails is
+    never stored, so its error names the first line it appears on.
+    """
+    value = memo.get(token)
+    if value is None:
+        value = memo[token] = _parse_numeral(token, line_no)
+    return value
+
+
+def _decode(text: str | bytes) -> str:
+    """Strict UTF-8 text; a byte that is not UTF-8 is an error naming its line.
+
+    Decoding with replacement would merge distinct names: two column names
+    that differ only in invalid bytes would become one column.
+    """
+    if isinstance(text, str):
+        return text
+    try:
+        return text.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        # Count lines as the parsers do (str.splitlines), up to the bad byte.
+        before = text[: exc.start].decode("utf-8")
+        line_no = len((before + "x").splitlines())
+        raise MatrixFormatError("input is not UTF-8 text", line_no) from None
+
+
 # ---------------------------------------------------------------------------
 # Coordinate format
 
@@ -192,12 +234,8 @@ def parse_coord(text: str | bytes) -> SparseMatrix:
     lines ``row col value`` with 1-based indices.  Duplicate positions and
     zero values are rejected.
     """
-    if isinstance(text, bytes):
-        try:
-            text = text.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            line_no = text.count(b"\n", 0, exc.start) + 1
-            raise MatrixFormatError("input is not UTF-8 text", line_no) from None
+    text = _decode(text)
+    numerals: dict[str, Fraction] = {}
     header: tuple[int, int, int] | None = None
     entries: list[Entry] = []
     seen: set[tuple[int, int]] = set()
@@ -229,8 +267,8 @@ def parse_coord(text: str | bytes) -> SparseMatrix:
             raise MatrixFormatError(f"index ({r + 1}, {c + 1}) out of range", line_no)
         if (r, c) in seen:
             raise MatrixFormatError(f"duplicate entry at ({r + 1}, {c + 1})", line_no)
-        value = _parse_numeral(tokens[2], line_no)
-        if value == 0:
+        value = _numeral(tokens[2], line_no, numerals)
+        if not value:
             raise MatrixFormatError(f"zero value at ({r + 1}, {c + 1})", line_no)
         seen.add((r, c))
         entries.append((r, c, value))
@@ -269,8 +307,8 @@ def parse_mps(text: str | bytes) -> SparseMatrix:
     fixed-column and free-format files are accepted because fields are
     tokenized on whitespace.
     """
-    if isinstance(text, bytes):
-        text = text.decode("utf-8", errors="replace")
+    text = _decode(text)
+    numerals: dict[str, Fraction] = {}
 
     row_type: dict[str, str] = {}
     row_index: dict[str, int] = {}
@@ -317,7 +355,7 @@ def parse_mps(text: str | bytes) -> SparseMatrix:
                 row_names.append(name)
 
         elif section == "COLUMNS":
-            if any("'MARKER'" in t for t in tokens):
+            if "'MARKER'" in raw:
                 continue  # integrality markers carry no matrix data
             if len(tokens) not in (3, 5):
                 raise MatrixFormatError(
@@ -331,10 +369,10 @@ def parse_mps(text: str | bytes) -> SparseMatrix:
             for row_name, value_token in zip(tokens[1::2], tokens[2::2]):
                 if row_name not in row_type:
                     raise MatrixFormatError(f"undeclared row {row_name!r}", line_no)
-                value = _parse_numeral(value_token, line_no)
+                value = _numeral(value_token, line_no, numerals)
                 if row_type[row_name] == "N":
                     continue  # objective/free coefficients are not constraints
-                if value == 0:
+                if not value:
                     raise MatrixFormatError(
                         f"explicit zero for row {row_name!r}, column {col!r}", line_no
                     )
@@ -352,13 +390,13 @@ def parse_mps(text: str | bytes) -> SparseMatrix:
             for row_name, value_token in zip(tokens[1::2], tokens[2::2]):
                 if row_name not in row_type:
                     raise MatrixFormatError(f"undeclared row {row_name!r}", line_no)
-                _parse_numeral(value_token, line_no)
+                _numeral(value_token, line_no, numerals)
 
         elif section == "BOUNDS":
             if len(tokens) not in (3, 4):
                 raise MatrixFormatError("BOUNDS line must be 'type name col [value]'", line_no)
             if len(tokens) == 4:
-                _parse_numeral(tokens[3], line_no)
+                _numeral(tokens[3], line_no, numerals)
 
     if not saw_endata:
         raise MatrixFormatError("missing ENDATA")

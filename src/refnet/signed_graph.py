@@ -150,21 +150,27 @@ def build_signed_graph(matrix: SparseMatrix) -> SignedGraph:
     """
     unit = classify_rows(matrix)
     verts = [i for i, is_unit in enumerate(unit) if is_unit]
-    vertex_of_row = {r: k for k, r in enumerate(verts)}
+    vertex_of_row = [-1] * matrix.n_rows
+    for k, r in enumerate(verts):
+        vertex_of_row[r] = k
+    # Per column, the vertices whose entry there is +1 and -1, ascending
+    # (entries run in row order).  Every value here is ±1, so its numerator
+    # carries the sign.
+    plus: list[list[int]] = [[] for _ in range(matrix.n_cols)]
+    minus: list[list[int]] = [[] for _ in range(matrix.n_cols)]
+    for r, c, v in matrix.entries:
+        if unit[r]:
+            (plus if v.numerator > 0 else minus)[c].append(vertex_of_row[r])
     pair_masks: dict[tuple[int, int], int] = {}
-    for c in range(matrix.n_cols):
-        present = [
-            (vertex_of_row[r], val)
-            for r, val in matrix.col(c)
-            if unit[r]
-        ]
-        for a in range(len(present)):
-            va, xa = present[a]
-            for b in range(a + 1, len(present)):
-                vb, xb = present[b]
+    for ups, downs in zip(plus, minus):
+        for same in (ups, downs):  # equal entries: negative edges
+            for a, va in enumerate(same):
+                for vb in same[a + 1:]:
+                    pair_masks[va, vb] = pair_masks.get((va, vb), 0) | NEG
+        for va in ups:  # opposite entries: positive edges
+            for vb in downs:
                 key = (va, vb) if va < vb else (vb, va)
-                bit = POS if xa == -xb else NEG
-                pair_masks[key] = pair_masks.get(key, 0) | bit
+                pair_masks[key] = pair_masks.get(key, 0) | POS
     return SignedGraph._from_pair_masks(len(verts), pair_masks, verts)
 
 

@@ -87,6 +87,17 @@ class TestExtract:
         assert main(["extract", str(path)]) == 2
         assert "line 2" in capsys.readouterr().err
 
+    def test_non_utf8_mps_names_exit_code(self, tmp_path, capsys):
+        # Columns C\xff and C\xfe must not merge into one column.
+        path = tmp_path / "names.mps"
+        path.write_bytes(
+            b"NAME T\nROWS\n E  R1\n E  R2\nCOLUMNS\n"
+            b"    C\xff  R1  1\n    C\xfe  R2  1\nRHS\nENDATA\n"
+        )
+        assert main(["extract", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "line 6" in err and "UTF-8" in err
+
     @pytest.mark.parametrize(
         "name,text",
         [
@@ -313,6 +324,19 @@ class TestBench:
         _, data, _ = read_bench_csv(capsys.readouterr().out)
         status = {row[0]: row[-1] for row in data}
         assert status["binary"].startswith("error: line 1")
+        assert status["fig"] == "ok"
+
+    def test_non_utf8_mps_is_an_error_row(self, tmp_path, capsys):
+        directory = make_bench_dir(tmp_path)
+        (directory / "names.mps").write_bytes(
+            b"NAME T\nROWS\n E  R1\n E  R2\nCOLUMNS\n"
+            b"    C\xff  R1  1\n    C\xfe  R2  1\nRHS\nENDATA\n"
+        )
+        assert main(["bench", str(directory), "--timeout", "60"]) == 0
+        _, data, _ = read_bench_csv(capsys.readouterr().out)
+        status = {row[0]: row[-1] for row in data}
+        assert status["names"].startswith("error: line 6")
+        assert "UTF-8" in status["names"]
         assert status["fig"] == "ok"
 
     @pytest.mark.parametrize("jobs", ["1", "2"])

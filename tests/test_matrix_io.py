@@ -339,3 +339,136 @@ class TestExponentBound:
     )
     def test_exponents_up_to_the_bound_parse(self, token, value):
         assert parse_coord(f"1 1 1\n1 1 {token}\n").entries[0][2] == value
+
+
+# Two columns whose names differ only in bytes that are not UTF-8.
+_COLLIDING_MPS = (
+    b"NAME T\nROWS\n E  R1\n E  R2\nCOLUMNS\n"
+    b"    C\xff  R1  1\n    C\xfe  R2  1\nRHS\nENDATA\n"
+)
+
+
+class TestStrictDecoding:
+    def test_mps_names_that_are_not_utf8_are_an_error(self):
+        # Replacement decoding would merge both columns into one and so put
+        # a negative R1-R2 edge into the signed graph.
+        with pytest.raises(MatrixFormatError, match="line 6.*UTF-8") as err:
+            parse_mps(_COLLIDING_MPS)
+        assert err.value.line_no == 6
+
+    def test_line_counted_as_the_parser_counts_lines(self):
+        # \r alone ends a line for str.splitlines, which numbers parser lines.
+        with pytest.raises(MatrixFormatError, match="line 3"):
+            parse_coord(b"% c\r1 1 1\r1 1 \xff\n")
+
+    def test_utf8_names_stay_distinct(self):
+        text = _COLLIDING_MPS.replace(b"\xff", "é".encode()).replace(b"\xfe", "è".encode())
+        m = parse_mps(text)
+        assert m.col_names == ("Cé", "Cè")
+        assert m.entries == ((0, 0, 1), (1, 1, 1))
+
+
+class TestSortedEntries:
+    """Construction checks (row, col) order in one pass; repeats are adjacent."""
+
+    def test_non_adjacent_repeat_rejected(self):
+        entries = ((0, 0, Fraction(1)), (0, 1, Fraction(2)), (0, 0, Fraction(3)))
+        with pytest.raises(ValueError, match="order"):
+            SparseMatrix(1, 2, entries)
+
+    def test_unsorted_entries_rejected(self):
+        entries = ((1, 0, Fraction(1)), (0, 1, Fraction(1)))
+        with pytest.raises(ValueError, match=r"\(0, 1\) out of \(row, col\) order"):
+            SparseMatrix(2, 2, entries)
+
+    def test_adjacent_repeat_is_a_duplicate(self):
+        entries = ((0, 1, Fraction(1)), (1, 0, Fraction(1)), (1, 0, Fraction(-1)))
+        with pytest.raises(ValueError, match=r"duplicate entry at \(1, 0\)"):
+            SparseMatrix(2, 2, entries)
+
+
+_MPS_HEAD = "NAME T\nROWS\n N  OBJ\n E  R1\n E  R2\nCOLUMNS\n"
+
+
+class TestNumeralMemo:
+    """Each distinct numeral is parsed once per file; errors keep their line."""
+
+    def test_bad_numeral_reported_at_first_line_coord(self):
+        text = "3 1 3\n1 1 2\n2 1 7x\n3 1 7x\n"
+        with pytest.raises(MatrixFormatError, match="line 3.*7x") as err:
+            parse_coord(text)
+        assert err.value.line_no == 3
+
+    def test_bad_numeral_reported_at_first_line_mps(self):
+        text = _MPS_HEAD + "    X  R1  2  R2  1..5\n    Y  R1  1..5\nENDATA\n"
+        with pytest.raises(MatrixFormatError, match="line 7.*1..5") as err:
+            parse_mps(text)
+        assert err.value.line_no == 7
+
+    @pytest.mark.parametrize(
+        "tail,line_no",
+        [
+            ("RHS\n    B  R1  2\n    B  R2  zz\n", 11),
+            ("RANGES\n    G  R1  2  R2  zz\n", 10),
+            ("BOUNDS\n UP BND  X  2\n UP BND  X  zz\n", 11),
+        ],
+        ids=["rhs", "ranges", "bounds"],
+    )
+    def test_bad_numeral_outside_columns(self, tail, line_no):
+        text = _MPS_HEAD + "    X  R1  2  R2  -1\n    Y  R1  1\n" + tail + "ENDATA\n"
+        with pytest.raises(MatrixFormatError, match=f"line {line_no}.*zz"):
+            parse_mps(text)
+
+    def test_huge_exponent_after_valid_tokens(self):
+        body = "".join(f"{i} 1 {('2', '-1/2', '1e3')[i % 3]}\n" for i in range(1, 40))
+        text = f"41 1 41\n{body}40 1 1e3000000\n41 1 1e3000000\n"
+        with pytest.raises(MatrixFormatError, match="line 41.*exponent") as err:
+            parse_coord(text)
+        assert err.value.line_no == 41
+
+    def test_huge_exponent_in_rhs_after_valid_uses(self):
+        text = (
+            _MPS_HEAD + "    X  R1  1e3  R2  1e3\n    Y  R1  1e3\n"
+            "RHS\n    B  R1  1e3  R2  1e3000\n    B  R2  1e3000\nENDATA\n"
+        )
+        with pytest.raises(MatrixFormatError, match="line 10.*exponent"):
+            parse_mps(text)
+
+
+_TOKENS = ["1", "-1", "2/2", "-4/4", "1/2", "-3/2", "3", "1.0", "-1e0", "10D-1"]
+
+
+def _classify_by_fraction(m):
+    unit = [True] * m.n_rows
+    for r, _, v in m.entries:
+        if v != 1 and v != -1:
+            unit[r] = False
+    return tuple(unit)
+
+
+def _network_by_fraction(m):
+    pos, neg = [0] * m.n_cols, [0] * m.n_cols
+    for _, c, v in m.entries:
+        if v == 1:
+            pos[c] += 1
+        elif v == -1:
+            neg[c] += 1
+        else:
+            return False
+    return all(p <= 1 for p in pos) and all(n <= 1 for n in neg)
+
+
+def test_unit_tests_agree_with_fraction_comparisons():
+    rng = random.Random(6)
+    network_seen = 0
+    for _ in range(300):
+        n_rows, n_cols = rng.randint(1, 6), rng.randint(1, 6)
+        cells = [(r, c) for r in range(n_rows) for c in range(n_cols) if rng.random() < 0.4]
+        # Mostly unit spellings, so some matrices are networks.
+        weights = [6, 6, 3, 3, 1, 1, 1, 2, 2, 2]
+        lines = [f"{r + 1} {c + 1} {rng.choices(_TOKENS, weights)[0]}" for r, c in cells]
+        m = parse_coord(f"{n_rows} {n_cols} {len(cells)}\n" + "\n".join(lines) + "\n")
+        assert classify_rows(m) == _classify_by_fraction(m)
+        assert is_network_matrix(m) == _network_by_fraction(m)
+        network_seen += is_network_matrix(m)
+    assert 0 < network_seen < 300

@@ -115,10 +115,6 @@ class SparseMatrix:
             cols[c].append(i)
         return tuple(tuple(ix) for ix in cols)
 
-    def col(self, c: int) -> list[tuple[int, Fraction]]:
-        """Nonzeros of column ``c`` as (row, value), ascending by row."""
-        return [(self.entries[i][0], self.entries[i][2]) for i in self.col_nonzeros[c]]
-
     def row_name(self, r: int) -> str:
         return self.row_names[r] if self.row_names is not None else str(r + 1)
 

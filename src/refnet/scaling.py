@@ -17,8 +17,12 @@ the unit and equal-magnitude tests compare integers; division stays exact.
 Only columns *unbounded at action time* are ever divided, so rows that are
 already (0,±1) can never be damaged: the (0,±1)-row count is non-decreasing
 and the zero/nonzero pattern never changes.  A single ascending pass is the
-default; ``fixpoint=True`` repeats passes until nothing moves (each active
-pass converts at least one row, so at most n_rows passes run).
+default; ``fixpoint=True`` repeats the extended pass until one changes
+nothing, which is always the second: after the first pass every row is
+either a (0,±1)-row, which stays one, or a row it skipped, whose bounded
+entries keep at least two magnitudes because a bounded column stays bounded
+and is never divided again.  So the flag costs one idle pass and returns
+the same matrix.
 """
 
 from __future__ import annotations

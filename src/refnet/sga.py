@@ -8,6 +8,13 @@ is kept as well).  Every retained set induces a balanced subgraph by
 construction, and on a balanced input the whole vertex set is retained no
 matter which forest was used.
 
+Each pass checks its retained set against the forest's own switch set: one
+scan over the edges between retained vertices, on the original signs,
+raises :class:`RuntimeError` unless every such edge is positive after the
+switch, and the same scan reads off the reflection.  The result a caller
+gets from :func:`sga_repeat` is certified once more, independently, by
+:func:`~refnet.signed_graph.is_balanced` on its induced subgraph.
+
 Three forest strategies are provided -- random search, breadth-first and
 depth-first -- plus a repetition wrapper that reruns the pass on pseudo-
 randomly permuted vertices and keeps the best result, and a variant that
@@ -340,6 +347,51 @@ def _build_forest(
     raise ValueError(f"unknown forest strategy {strategy!r}; expected one of {STRATEGIES}")
 
 
+def _certified_reflection(
+    graph: SignedGraph, keep: list[bool], flips: frozenset[int]
+) -> frozenset[int]:
+    """Check the retained set against the forest's switch set; its reflection.
+
+    Every edge between retained vertices must be positive after switching
+    ``flips``, which makes ``flips`` a balancing switch of the retained
+    subgraph; a violation raises :class:`RuntimeError`.  Components are
+    entered in ascending vertex order, and the reflection holds the vertices
+    whose ``flips`` side differs from their component's lowest vertex: the
+    switch set :func:`is_balanced` reports for the same subgraph.
+    """
+    n = graph.n
+    inside = [False] * n
+    for v in flips:
+        inside[v] = True
+    neighbors, masks = graph.neighbors, graph.masks
+    seen = [False] * n
+    reflection: list[int] = []
+    for start in range(n):
+        if not keep[start] or seen[start]:
+            continue
+        seen[start] = True
+        side = inside[start]
+        stack = [start]
+        while stack:
+            v = stack.pop()
+            side_v = inside[v]
+            if side_v != side:
+                reflection.append(v)
+            for u, m in zip(neighbors[v], masks[v]):
+                if not keep[u]:
+                    continue
+                if m != (POS if inside[u] == side_v else NEG):
+                    raise RuntimeError(
+                        f"retained vertices {v} and {u} are joined by a negative"
+                        " edge after the forest's switch; the independent-set"
+                        " step returned a dependent set"
+                    )
+                if not seen[u]:
+                    seen[u] = True
+                    stack.append(u)
+    return frozenset(reflection)
+
+
 def _pass(
     graph: SignedGraph,
     strategy: str,
@@ -353,20 +405,17 @@ def _pass(
     forest = _build_forest(graph, strategy, rng)
     flips = switch_set_from_forest(forest)
     neg_verts, neg_adj = _negative_structure(graph, flips)
-    in_negative = set(neg_verts)
     independent = independent_set(neg_adj)
-    retained = sorted(
-        [v for v in range(graph.n) if v not in in_negative]
-        + [neg_verts[i] for i in independent]
-    )
-    sub = induced_subgraph(graph, retained)
-    certificate = is_balanced(sub)
-    assert certificate.balanced, "retained set must induce a balanced subgraph"
-    reflection = frozenset(sub.tags[v] for v in certificate.switch_set)
+    keep = [True] * graph.n
+    for v in neg_verts:
+        keep[v] = False
+    for i in independent:
+        keep[neg_verts[i]] = True
+    retained = [v for v in range(graph.n) if keep[v]]
     return HeuristicResult(
         retained=tuple(retained),
         k=graph.n - len(retained),
-        reflection=reflection,
+        reflection=_certified_reflection(graph, keep, flips),
         strategy=strategy,
         repeats=1,
         seed=None,
@@ -394,15 +443,14 @@ def permute_graph(graph: SignedGraph, order: Sequence[int]) -> SignedGraph:
         new_of_old[old] = j
     neighbors = []
     masks = []
-    for j in range(n):
-        old = order[j]
-        items = sorted(
-            (new_of_old[u], m)
-            for u, m in zip(graph.neighbors[old], graph.masks[old])
+    for old in order:
+        # A mask fits in two bits, so one int sorts as the (id, mask) pair.
+        keys = sorted(
+            [new_of_old[u] << 2 | m for u, m in zip(graph.neighbors[old], graph.masks[old])]
         )
-        neighbors.append(tuple(u for u, _ in items))
-        masks.append(tuple(m for _, m in items))
-    tags = tuple(graph.tags[order[j]] for j in range(n))
+        neighbors.append(tuple([k >> 2 for k in keys]))
+        masks.append(tuple([k & 3 for k in keys]))
+    tags = tuple([graph.tags[old] for old in order])
     return SignedGraph(n, tags, tuple(neighbors), tuple(masks))
 
 
@@ -415,7 +463,8 @@ def sga_repeat(
     ``random.Random(seed + i)``; repetition 0 keeps the identity permutation,
     so one repetition reproduces :func:`sga` exactly.  Ties keep the earliest
     repetition, making the best-of sequence monotone in ``repeats`` for a
-    fixed seed.
+    fixed seed.  Only the reported retained set goes through the full
+    :func:`is_balanced` certificate; failing it raises :class:`RuntimeError`.
     """
     if repeats < 1:
         raise ValueError("repeats must be at least 1")
@@ -439,6 +488,11 @@ def sga_repeat(
                 seed=seed,
             )
     assert best is not None
+    if not is_balanced(induced_subgraph(graph, best.retained)).balanced:
+        raise RuntimeError(
+            "the best repetition's retained set does not induce a balanced"
+            " subgraph; this contradicts its per-pass check and indicates a bug"
+        )
     return replace(best, elapsed=time.perf_counter() - started)
 
 

@@ -6,8 +6,24 @@ import itertools
 import random
 from fractions import Fraction
 
+from refnet.exact import vertex_cover
 from refnet.matrix_io import SparseMatrix
-from refnet.signed_graph import NEG, POS, SignedGraph
+from refnet.sga import (
+    HeuristicResult,
+    forest_bfs,
+    forest_dfs,
+    forest_rs,
+    greedy_independent_set,
+    switch_set_from_forest,
+)
+from refnet.signed_graph import (
+    NEG,
+    POS,
+    SignedGraph,
+    induced_subgraph,
+    is_balanced,
+    switch,
+)
 
 
 def random_signed_graph(
@@ -157,6 +173,85 @@ def negative_subgraph(graph: SignedGraph) -> SignedGraph:
     )
 
 
+def reference_permute_graph(graph: SignedGraph, order) -> SignedGraph:
+    """``permute_graph`` as a sort of (new id, mask) tuples per vertex."""
+    n = graph.n
+    new_of_old = [0] * n
+    for j, old in enumerate(order):
+        new_of_old[old] = j
+    neighbors = []
+    masks = []
+    for j in range(n):
+        old = order[j]
+        items = sorted(
+            (new_of_old[u], m)
+            for u, m in zip(graph.neighbors[old], graph.masks[old])
+        )
+        neighbors.append(tuple(u for u, _ in items))
+        masks.append(tuple(m for _, m in items))
+    tags = tuple(graph.tags[order[j]] for j in range(n))
+    return SignedGraph(n, tags, tuple(neighbors), tuple(masks))
+
+
+def reference_pass(graph: SignedGraph, strategy: str, rng, independent_set) -> HeuristicResult:
+    """One heuristic pass certified by ``induced_subgraph`` + ``is_balanced``.
+
+    The negative structure comes from :func:`negative_subgraph` of the
+    switched graph, and the reflection is the certificate's switch set.
+    """
+    if strategy == "RS":
+        forest = forest_rs(graph, rng if rng is not None else random.Random(0))
+    else:
+        forest = {"BFS": forest_bfs, "DFS": forest_dfs}[strategy](graph)
+    negative = negative_subgraph(switch(graph, switch_set_from_forest(forest)))
+    chosen = independent_set([list(nb) for nb in negative.neighbors])
+    dropped = set(negative.tags) - {negative.tags[i] for i in chosen}
+    retained = [v for v in range(graph.n) if v not in dropped]
+    sub = induced_subgraph(graph, retained)
+    certificate = is_balanced(sub)
+    if not certificate.balanced:
+        raise AssertionError("reference pass retained an unbalanced set")
+    reflection = frozenset(sub.tags[v] for v in certificate.switch_set)
+    return HeuristicResult(tuple(retained), graph.n - len(retained), reflection, strategy, 1, None, 0.0)
+
+
+def reference_sga_repeat(graph: SignedGraph, repeats: int, strategy: str, seed: int) -> HeuristicResult:
+    """Best of ``repeats`` reference passes, each on a tuple-sort permuted copy."""
+    best = None
+    for i in range(repeats):
+        rng = random.Random(seed + i)
+        order = list(range(graph.n))
+        if i == 0:
+            permuted = graph
+        else:
+            rng.shuffle(order)
+            permuted = reference_permute_graph(graph, order)
+        result = reference_pass(permuted, strategy, rng, greedy_independent_set)
+        if best is None or len(result.retained) > len(best.retained):
+            best = HeuristicResult(
+                tuple(sorted(order[v] for v in result.retained)),
+                result.k,
+                frozenset(order[v] for v in result.reflection),
+                strategy,
+                repeats,
+                seed,
+                0.0,
+            )
+    return best
+
+
+def reference_sga_vc(graph: SignedGraph, strategy: str, rng) -> HeuristicResult:
+    """Reference pass whose independent set complements a minimum vertex cover."""
+
+    def cover_complement(adjacency):
+        size = 0
+        while (cover := vertex_cover(adjacency, size)) is None:
+            size += 1
+        return set(range(len(adjacency))) - cover
+
+    return reference_pass(graph, strategy, rng, cover_complement)
+
+
 def is_independent_set(adjacency, chosen) -> bool:
     chosen = set(chosen)
     return all(u not in chosen or not (set(adjacency[u]) & chosen) for u in chosen)
@@ -293,6 +388,11 @@ def _decimal_exact(v: Fraction) -> str:
     return f"{sign}{digits[:-shift]}.{digits[-shift:]}"
 
 
+def column(matrix: SparseMatrix, c: int) -> list[tuple[int, Fraction]]:
+    """Nonzeros of column ``c`` as (row, value), ascending by row."""
+    return [(matrix.entries[i][0], matrix.entries[i][2]) for i in matrix.col_nonzeros[c]]
+
+
 def write_mps(matrix: SparseMatrix, name: str = "TEST") -> str:
     """Render a matrix as a minimal equality-rows MPS file (test fixture aid)."""
     lines = [f"NAME          {name}", "ROWS", " N  OBJ"]
@@ -301,7 +401,7 @@ def write_mps(matrix: SparseMatrix, name: str = "TEST") -> str:
         lines.append(f" E  {rname}")
     lines.append("COLUMNS")
     for c in range(matrix.n_cols):
-        col = matrix.col(c)
+        col = column(matrix, c)
         if not col:
             continue
         cname = f"C{c + 1}"

@@ -171,6 +171,17 @@ class TestInvariants:
             settled = scale(m, fixpoint=True)
             assert extended_stage(settled) == settled
 
+    def test_fixpoint_equals_single_pass(self):
+        # A second extended pass never finds anything left to do.
+        rng = random.Random(8)
+        extended = 0
+        for _ in range(200):
+            m = random_matrix(rng)
+            once = scale(m)
+            assert scale(m, fixpoint=True) == once
+            extended += once != simple_stage(m)
+        assert extended > 50  # the first extended pass did act on many
+
     def test_single_pass_sees_earlier_actions(self):
         # Row 1's column divisions turn row 2 into a uniform-magnitude row;
         # the same ascending pass must then normalize row 2 via its (now

@@ -28,7 +28,6 @@ from refnet.signed_graph import (
     extract_network,
     induced_subgraph,
     is_balanced,
-    switch,
 )
 from refnet.sga import (
     CoverBudgetError,
@@ -50,7 +49,6 @@ from refnet.exact import (
     OperationCancelled,
     SubdividedGraph,
     brute_force_mbd,
-    brute_force_oct,
     mbd_exact,
     odd_cycle_transversal,
     subdivide_positive,
@@ -75,7 +73,6 @@ __all__ = [
     "extract_network",
     "induced_subgraph",
     "is_balanced",
-    "switch",
     "CoverBudgetError",
     "HeuristicResult",
     "SpanningForest",
@@ -93,7 +90,6 @@ __all__ = [
     "OperationCancelled",
     "SubdividedGraph",
     "brute_force_mbd",
-    "brute_force_oct",
     "mbd_exact",
     "odd_cycle_transversal",
     "subdivide_positive",

@@ -55,12 +55,10 @@ def _load_matrix(path: Path, fmt: str) -> SparseMatrix:
     return parse_coord(text)
 
 
-def _prepare(
-    path: Path, fmt: str, no_scaling: bool, fixpoint: bool
-) -> tuple[SparseMatrix, SignedGraph]:
+def _prepare(path: Path, fmt: str, no_scaling: bool) -> tuple[SparseMatrix, SignedGraph]:
     matrix = _load_matrix(path, fmt)
     if not no_scaling:
-        matrix = scale(matrix, fixpoint=fixpoint)
+        matrix = scale(matrix)
     return matrix, build_signed_graph(matrix)
 
 
@@ -89,7 +87,7 @@ def _emit(payload: dict, out_format: str, stream) -> None:
 
 def cmd_extract(args: argparse.Namespace) -> int:
     path = Path(args.file)
-    matrix, graph = _prepare(path, args.format, args.no_scaling, args.scale_fixpoint)
+    matrix, graph = _prepare(path, args.format, args.no_scaling)
     strategy = args.forest.upper()
     if args.vc:
         if args.repeats != 1:
@@ -125,7 +123,7 @@ def cmd_extract(args: argparse.Namespace) -> int:
 
 def cmd_exact(args: argparse.Namespace) -> int:
     path = Path(args.file)
-    matrix, graph = _prepare(path, args.format, args.no_scaling, args.scale_fixpoint)
+    matrix, graph = _prepare(path, args.format, args.no_scaling)
     token = CancelToken.after(args.timeout)
     try:
         result = mbd_exact(graph, k_max=args.max_k, cancel=token)
@@ -168,7 +166,7 @@ def cmd_exact(args: argparse.Namespace) -> int:
 def cmd_scale(args: argparse.Namespace) -> int:
     path = Path(args.file)
     matrix = _load_matrix(path, args.format)
-    scaled = scale(matrix, fixpoint=args.fixpoint)
+    scaled = scale(matrix)
     text = dump_coord(scaled)
     if args.out:
         Path(args.out).write_text(text)
@@ -193,13 +191,11 @@ class BenchRecord:
     error: str = ""
 
 
-def _bench_one(
-    path_str: str, seed: int, timeout: float, no_scaling: bool, fixpoint: bool
-) -> BenchRecord:
+def _bench_one(path_str: str, seed: int, timeout: float, no_scaling: bool) -> BenchRecord:
     path = Path(path_str)
     n = 0
     try:
-        _, graph = _prepare(path, "auto", no_scaling, fixpoint)
+        _, graph = _prepare(path, "auto", no_scaling)
         n = graph.n
         heuristic: dict = {}
         singles: list[float] = []
@@ -302,10 +298,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
     paths = sorted(
         (p for p in directory.iterdir() if p.is_file()), key=lambda p: p.stem
     )
-    tasks = [
-        (str(p), args.seed, args.timeout, args.no_scaling, args.scale_fixpoint)
-        for p in paths
-    ]
+    tasks = [(str(p), args.seed, args.timeout, args.no_scaling) for p in paths]
     if args.jobs > 1 and len(tasks) > 1:
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
             records = list(pool.map(_bench_one, *zip(*tasks)))
@@ -341,11 +334,6 @@ def _at_least(convert, minimum):
 def _add_common_input(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--format", choices=("auto", "mps", "coord"), default="auto")
     parser.add_argument("--no-scaling", action="store_true", help="skip the scaling stage")
-    parser.add_argument(
-        "--scale-fixpoint",
-        action="store_true",
-        help="repeat the extended scaling pass until nothing changes",
-    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -381,13 +369,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--out", default=None, help="CSV path (stdout when omitted)")
     p_bench.add_argument("--jobs", type=_at_least(int, 1), default=1)
     p_bench.add_argument("--no-scaling", action="store_true")
-    p_bench.add_argument("--scale-fixpoint", action="store_true")
     p_bench.set_defaults(func=cmd_bench)
 
     p_scale = sub.add_parser("scale", help="scale a matrix and emit coordinate format")
     p_scale.add_argument("file")
     p_scale.add_argument("--format", choices=("auto", "mps", "coord"), default="auto")
-    p_scale.add_argument("--fixpoint", action="store_true")
     p_scale.add_argument("--out", default=None)
     p_scale.set_defaults(func=cmd_scale)
 

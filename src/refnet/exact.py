@@ -32,8 +32,8 @@ compression proves the current prefix needs more than the budget, and no
 prefix needs more than the whole graph, so the budget is raised by one and
 insertion continues.  The budget is therefore always a proven lower bound,
 and the transversal returned at the end is a minimum one -- an optimality
-certificate.  Brute-force counterparts over all vertex subsets serve as
-independent test oracles.
+certificate.  A brute-force counterpart over all vertex subsets,
+:func:`brute_force_mbd`, serves as an independent test oracle.
 """
 
 from __future__ import annotations
@@ -244,8 +244,8 @@ def _compress_transversal(
                     seen[y] = True
                     color[y] = color[x] ^ 1
                     queue.append(y)
-                else:
-                    assert color[y] != color[x], "transversal invariant broken"
+                elif color[y] == color[x]:
+                    raise RuntimeError("transversal invariant broken")
     color_mask = 0
     for i, c in enumerate(color):
         if c:
@@ -376,9 +376,8 @@ def odd_cycle_transversal(
             if in_transversal[v]:
                 continue
             for u in adjacency[v]:
-                if u < v and not in_transversal[u]:
-                    ok = dsu.union(u, v, 1)
-                    assert ok, "compressed transversal must leave a bipartite graph"
+                if u < v and not in_transversal[u] and not dsu.union(u, v, 1):
+                    raise RuntimeError("compressed transversal must leave a bipartite graph")
 
     for v in range(n):
         if cancel is not None and cancel.expired():
@@ -548,7 +547,7 @@ def vertex_cover(
 
 
 # ---------------------------------------------------------------------------
-# Brute-force oracles (test references, exponential in the vertex count)
+# Brute-force oracle (a test reference, exponential in the vertex count)
 
 _ORACLE_LIMIT = 24
 
@@ -588,39 +587,3 @@ def brute_force_mbd(graph: SignedGraph) -> tuple[int, set[int]]:
             if _balanced_without(graph, removed):
                 return size, removed
     raise AssertionError("removing all vertices always balances")
-
-
-def _bipartite_without(adjacency: Sequence[Sequence[int]], removed: set[int]) -> bool:
-    n = len(adjacency)
-    color: list[int | None] = [None] * n
-    for start in range(n):
-        if start in removed or color[start] is not None:
-            continue
-        color[start] = 0
-        queue = [start]
-        qi = 0
-        while qi < len(queue):
-            v = queue[qi]
-            qi += 1
-            for u in adjacency[v]:
-                if u in removed:
-                    continue
-                if color[u] is None:
-                    color[u] = color[v] ^ 1
-                    queue.append(u)
-                elif color[u] == color[v]:
-                    return False
-    return True
-
-
-def brute_force_oct(adjacency: Sequence[Sequence[int]]) -> tuple[int, set[int]]:
-    """Smallest vertex set whose removal leaves a bipartite graph."""
-    n = len(adjacency)
-    if n > _ORACLE_LIMIT:
-        raise ValueError(f"oracle limited to {_ORACLE_LIMIT} vertices")
-    for size in range(n + 1):
-        for combo in itertools.combinations(range(n), size):
-            removed = set(combo)
-            if _bipartite_without(adjacency, removed):
-                return size, removed
-    raise AssertionError("removing all vertices always bipartizes")

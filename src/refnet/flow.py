@@ -148,7 +148,8 @@ class SeparatorSolver:
                     for v in range(self.n)
                     if prev_arc[2 * v] != -1 and prev_arc[2 * v + 1] == -1
                 ]
-                assert len(separator) == flow
+                if len(separator) != flow:
+                    raise RuntimeError("separator size differs from the maximum flow")
                 return separator
             bottleneck = wide
             x = t

@@ -16,13 +16,11 @@ the unit and equal-magnitude tests compare integers; division stays exact.
 
 Only columns *unbounded at action time* are ever divided, so rows that are
 already (0,±1) can never be damaged: the (0,±1)-row count is non-decreasing
-and the zero/nonzero pattern never changes.  A single ascending pass is the
-default; ``fixpoint=True`` repeats the extended pass until one changes
-nothing, which is always the second: after the first pass every row is
-either a (0,±1)-row, which stays one, or a row it skipped, whose bounded
-entries keep at least two magnitudes because a bounded column stays bounded
-and is never divided again.  So the flag costs one idle pass and returns
-the same matrix.
+and the zero/nonzero pattern never changes.  One ascending extended pass is
+already a fixpoint: after it every row is either a (0,±1)-row, which stays
+one, or a row it skipped, whose bounded entries keep at least two
+magnitudes because a bounded column stays bounded and is never divided
+again -- so a second pass would find nothing to do.
 """
 
 from __future__ import annotations
@@ -132,8 +130,7 @@ def _simple_pass(ws: _Workspace) -> None:
             ws.scale_row(i, *magnitudes.pop())
 
 
-def _extended_pass(ws: _Workspace) -> bool:
-    changed = False
+def _extended_pass(ws: _Workspace) -> None:
     for c in range(ws.matrix.n_rows):
         if ws.unit[c]:
             continue
@@ -142,7 +139,6 @@ def _extended_pass(ws: _Workspace) -> bool:
         if not bounded_entries:
             for e in row_entries:
                 ws.scale_col_by(e)
-            changed = True
         else:
             magnitudes = ws.magnitudes(bounded_entries)
             if len(magnitudes) == 1:
@@ -151,14 +147,11 @@ def _extended_pass(ws: _Workspace) -> bool:
                 for e in row_entries:
                     if e not in bounded:
                         ws.scale_col_by(e)
-                changed = True
-    return changed
 
 
-def scale(matrix: SparseMatrix, fixpoint: bool = False) -> SparseMatrix:
-    """Full scaling pipeline: simple row scaling, then the extended stage."""
+def scale(matrix: SparseMatrix) -> SparseMatrix:
+    """Full scaling pipeline: simple row scaling, then one extended pass."""
     ws = _Workspace(matrix)
     _simple_pass(ws)
-    while _extended_pass(ws) and fixpoint:
-        pass
+    _extended_pass(ws)
     return ws.to_matrix()

@@ -261,28 +261,21 @@ def switch_set_from_forest(forest: SpanningForest) -> frozenset[int]:
     return frozenset(v for v in range(forest.n) if parity[v] == 1)
 
 
-def greedy_independent_set(
-    adjacency: Sequence[Sequence[int]], order: Sequence[int] | None = None
-) -> set[int]:
+def greedy_independent_set(adjacency: Sequence[Sequence[int]]) -> set[int]:
     """Greedy minimum-degree maximal independent set.
 
-    Repeatedly takes an alive vertex of minimum degree (ties broken by the
-    earliest position in ``order``, identity when omitted) and removes it
-    together with its neighbors.
+    Repeatedly takes an alive vertex of minimum degree (ties go to the
+    lowest index) and removes it together with its neighbors.
     """
     n = len(adjacency)
-    pos = list(range(n))
-    if order is not None:
-        for p, v in enumerate(order):
-            pos[v] = p
     alive = [True] * n
     deg = [len(adjacency[v]) for v in range(n)]
     chosen: set[int] = set()
     # Lazy heap: an entry is stale once its vertex died or lost degree.
-    heap = [(deg[v], pos[v], v) for v in range(n)]
+    heap = list(zip(deg, range(n)))
     heapq.heapify(heap)
     while heap:
-        d, _, best = heapq.heappop(heap)
+        d, best = heapq.heappop(heap)
         if not alive[best] or d != deg[best]:
             continue
         chosen.add(best)
@@ -293,7 +286,7 @@ def greedy_independent_set(
             for w in adjacency[u]:
                 if alive[w]:
                     deg[w] -= 1
-                    heapq.heappush(heap, (deg[w], pos[w], w))
+                    heapq.heappush(heap, (deg[w], w))
     return chosen
 
 

@@ -174,24 +174,6 @@ def build_signed_graph(matrix: SparseMatrix) -> SignedGraph:
     return SignedGraph._from_pair_masks(len(verts), pair_masks, verts)
 
 
-def switch(graph: SignedGraph, switch_set: Iterable[int]) -> SignedGraph:
-    """Flip the sign of every edge with exactly one endpoint in the set."""
-    inside = [False] * graph.n
-    for v in switch_set:
-        if not 0 <= v < graph.n:
-            raise ValueError(f"vertex {v} out of range")
-        inside[v] = True
-    new_masks = []
-    for v in range(graph.n):
-        row = []
-        for u, m in zip(graph.neighbors[v], graph.masks[v]):
-            if inside[v] != inside[u] and m != POS | NEG:
-                m = NEG if m == POS else POS
-            row.append(m)
-        new_masks.append(tuple(row))
-    return SignedGraph(graph.n, graph.tags, graph.neighbors, tuple(new_masks))
-
-
 def _signs_of(mask: int) -> tuple[int, ...]:
     if mask == POS:
         return (1,)
@@ -266,19 +248,22 @@ def induced_subgraph(graph: SignedGraph, vertices: Iterable[int]) -> SignedGraph
     """Subgraph on the given vertices with all signs preserved.
 
     Vertices are compacted in ascending order; ``tags`` maps back to the
-    input graph's vertex ids.
+    input graph's vertex ids.  Each adjacency list is the parent's, already
+    ascending, filtered through the compacted positions.
     """
     verts = sorted(set(vertices))
-    for v in verts:
+    pos = [-1] * graph.n
+    for i, v in enumerate(verts):
         if not 0 <= v < graph.n:
             raise ValueError(f"vertex {v} out of range")
-    index = {v: i for i, v in enumerate(verts)}
-    pair_masks: dict[tuple[int, int], int] = {}
+        pos[v] = i
+    neighbors = []
+    masks = []
     for v in verts:
-        for u, m in zip(graph.neighbors[v], graph.masks[v]):
-            if v < u and u in index:
-                pair_masks[(index[v], index[u])] = m
-    return SignedGraph._from_pair_masks(len(verts), pair_masks, verts)
+        kept = [(pos[u], m) for u, m in zip(graph.neighbors[v], graph.masks[v]) if pos[u] >= 0]
+        neighbors.append(tuple([j for j, _ in kept]))
+        masks.append(tuple([m for _, m in kept]))
+    return SignedGraph(len(verts), tuple(verts), tuple(neighbors), tuple(masks))
 
 
 def extract_network(

@@ -6,8 +6,9 @@ import itertools
 import random
 from fractions import Fraction
 
-from refnet.exact import vertex_cover
+from refnet.exact import _ORACLE_LIMIT, vertex_cover
 from refnet.matrix_io import SparseMatrix
+from refnet.scaling import _extended_pass, _Workspace
 from refnet.sga import (
     HeuristicResult,
     forest_bfs,
@@ -22,7 +23,6 @@ from refnet.signed_graph import (
     SignedGraph,
     induced_subgraph,
     is_balanced,
-    switch,
 )
 
 
@@ -116,6 +116,13 @@ def random_matrix(
     return SparseMatrix.from_entries(n_rows, n_cols, entries)
 
 
+def extended_stage(m: SparseMatrix) -> SparseMatrix:
+    """One extended scaling pass over m's values, without the simple stage first."""
+    ws = _Workspace(m)
+    _extended_pass(ws)
+    return ws.to_matrix()
+
+
 def simple_adjacency(rng: random.Random, n_max: int = 12, p: float = 0.35) -> list[list[int]]:
     n = rng.randint(1, n_max)
     adj: list[list[int]] = [[] for _ in range(n)]
@@ -156,6 +163,39 @@ def pair_mask(graph: SignedGraph, u: int, v: int) -> int:
 def edge_in_graph(graph: SignedGraph, a: int, b: int, sign: int) -> bool:
     mask = pair_mask(graph, a, b)
     return bool(mask & (POS if sign == 1 else NEG))
+
+
+def switch(graph: SignedGraph, switch_set) -> SignedGraph:
+    """Flip the sign of every edge with exactly one endpoint in the set."""
+    inside = [False] * graph.n
+    for v in switch_set:
+        if not 0 <= v < graph.n:
+            raise ValueError(f"vertex {v} out of range")
+        inside[v] = True
+    new_masks = []
+    for v in range(graph.n):
+        row = []
+        for u, m in zip(graph.neighbors[v], graph.masks[v]):
+            if inside[v] != inside[u] and m != POS | NEG:
+                m = NEG if m == POS else POS
+            row.append(m)
+        new_masks.append(tuple(row))
+    return SignedGraph(graph.n, graph.tags, graph.neighbors, tuple(new_masks))
+
+
+def reference_induced_subgraph(graph: SignedGraph, vertices) -> SignedGraph:
+    """``induced_subgraph`` through a (u, v) mask dict that re-sorts every list."""
+    verts = sorted(set(vertices))
+    for v in verts:
+        if not 0 <= v < graph.n:
+            raise ValueError(f"vertex {v} out of range")
+    index = {v: i for i, v in enumerate(verts)}
+    pair_masks: dict[tuple[int, int], int] = {}
+    for v in verts:
+        for u, m in zip(graph.neighbors[v], graph.masks[v]):
+            if v < u and u in index:
+                pair_masks[(index[v], index[u])] = m
+    return SignedGraph._from_pair_masks(len(verts), pair_masks, verts)
 
 
 def negative_subgraph(graph: SignedGraph) -> SignedGraph:
@@ -265,6 +305,42 @@ def is_maximal_independent_set(adjacency, chosen) -> bool:
         if v not in chosen and not (set(adjacency[v]) & chosen):
             return False
     return True
+
+
+def is_bipartite_without(adjacency, removed: set[int]) -> bool:
+    n = len(adjacency)
+    color: list[int | None] = [None] * n
+    for start in range(n):
+        if start in removed or color[start] is not None:
+            continue
+        color[start] = 0
+        queue = [start]
+        qi = 0
+        while qi < len(queue):
+            v = queue[qi]
+            qi += 1
+            for u in adjacency[v]:
+                if u in removed:
+                    continue
+                if color[u] is None:
+                    color[u] = color[v] ^ 1
+                    queue.append(u)
+                elif color[u] == color[v]:
+                    return False
+    return True
+
+
+def brute_force_oct(adjacency) -> tuple[int, set[int]]:
+    """Smallest vertex set whose removal leaves a bipartite graph."""
+    n = len(adjacency)
+    if n > _ORACLE_LIMIT:
+        raise ValueError(f"oracle limited to {_ORACLE_LIMIT} vertices")
+    for size in range(n + 1):
+        for combo in itertools.combinations(range(n), size):
+            removed = set(combo)
+            if is_bipartite_without(adjacency, removed):
+                return size, removed
+    raise AssertionError("removing all vertices always bipartizes")
 
 
 def brute_force_separator(adjacency, sources, sinks) -> int:

@@ -17,11 +17,15 @@ from pathlib import Path
 
 import pytest
 
-from helpers import matrix_realizing, random_balanced_graph, random_signed_graph
+from helpers import (
+    brute_force_oct,
+    matrix_realizing,
+    random_balanced_graph,
+    random_signed_graph,
+)
 from refnet.exact import (
     CancelToken,
     brute_force_mbd,
-    brute_force_oct,
     mbd_exact,
     odd_cycle_transversal,
 )

@@ -409,3 +409,21 @@ class TestNumericFlags:
         with pytest.raises(SystemExit) as exc:
             main(["extract", str(fig_coord), "--repeats", "many"])
         assert exc.value.code == 2
+
+
+class TestRetiredFlags:
+    """The scaling fixpoint flags are gone: argparse rejects them with a usage error."""
+
+    @pytest.mark.parametrize(
+        "command, flag",
+        [("extract", "--scale-fixpoint"), ("exact", "--scale-fixpoint"),
+         ("bench", "--scale-fixpoint"), ("scale", "--fixpoint")],
+    )
+    def test_rejected(self, fig_coord, capsys, command, flag):
+        target = fig_coord.parent if command == "bench" else fig_coord
+        with pytest.raises(SystemExit) as exc:
+            main([command, str(target), flag])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: ")
+        assert f"unrecognized arguments: {flag}" in err

@@ -1,12 +1,19 @@
 from __future__ import annotations
 
 import itertools
+import json
+import os
 import random
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
 from helpers import (
+    brute_force_oct,
+    is_bipartite_without,
     milp_mbd,
     planted_graph,
     random_balanced_graph,
@@ -18,7 +25,6 @@ from refnet.exact import (
     DeletionBudgetError,
     OperationCancelled,
     brute_force_mbd,
-    brute_force_oct,
     mbd_exact,
     odd_cycle_transversal,
     subdivide_positive,
@@ -61,24 +67,55 @@ def min_oct(adjacency) -> int:
     raise AssertionError
 
 
-def is_bipartite_without(adjacency, removed):
-    color = {}
-    for start in range(len(adjacency)):
-        if start in removed or start in color:
-            continue
-        color[start] = 0
-        queue = [start]
-        while queue:
-            v = queue.pop()
-            for u in adjacency[v]:
-                if u in removed:
-                    continue
-                if u not in color:
-                    color[u] = color[v] ^ 1
-                    queue.append(u)
-                elif color[u] == color[v]:
-                    return False
-    return True
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+OPTIMIZED_SCRIPT = """
+import json
+from refnet import exact
+from refnet.flow import SeparatorSolver
+
+triangle = [[1, 2], [0, 2], [0, 1]]
+
+def run(call):
+    try:
+        call()
+    except Exception as exc:
+        return [type(exc).__name__, str(exc)]
+    return None
+
+def false_flow():
+    solver = SeparatorSolver(2, [[1], [0]])
+    residual = solver.residual()
+    residual.flow = 1  # a unit of flow the arcs do not carry
+    solver.solve([], [], 5, residual)
+
+out = {
+    "debug": __debug__,
+    # An empty transversal leaves the triangle for the reference coloring.
+    "coloring": run(lambda: exact._compress_transversal(triangle, 3, [], 0, None, {})),
+    "separator": run(false_flow),
+}
+exact._compress_transversal = lambda *args: set()
+out["compression"] = run(lambda: exact.odd_cycle_transversal(triangle, 3))
+print(json.dumps(out))
+"""
+
+
+def test_invariant_checks_survive_python_O():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(SRC) + (os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", OPTIMIZED_SCRIPT],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    out = json.loads(proc.stdout)
+    assert out.pop("debug") is False
+    assert out == {
+        "coloring": ["RuntimeError", "transversal invariant broken"],
+        "separator": ["RuntimeError", "separator size differs from the maximum flow"],
+        "compression": ["RuntimeError", "compressed transversal must leave a bipartite graph"],
+    }
 
 
 class TestSubdivide:

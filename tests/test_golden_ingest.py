@@ -10,9 +10,11 @@ network rows disguised by rational row and column factors, plus some general
 rows, with every value spelled in one of several exact forms (integers,
 decimals, ``p/q``, ``e``/``D`` exponents, units such as ``2/2``).  Each entry
 pins the first 12 hex digits of the sha256 of the ``repr`` of:
-the parsed entries, ``scale(m).entries``, ``scale(m, fixpoint=True).entries``,
-``classify_rows`` of the single-pass result and ``build_signed_graph``'s
-``(tags, neighbors, masks)`` of the single-pass result.
+the parsed entries, ``scale(m).entries``, the entries after one more
+extended pass over ``scale(m)`` (``helpers.extended_stage``; scaling is
+already a fixpoint, so this equals the second), ``classify_rows`` of the
+scaled result and ``build_signed_graph``'s ``(tags, neighbors, masks)`` of
+the scaled result.
 
 Run ``python tests/test_golden_ingest.py`` to print the current values.
 """
@@ -25,7 +27,7 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import random_matrix
+from helpers import extended_stage, random_matrix
 from refnet.matrix_io import SparseMatrix, classify_rows, parse_mps
 from refnet.scaling import scale
 from refnet.signed_graph import build_signed_graph
@@ -111,7 +113,7 @@ def digests(m: SparseMatrix) -> tuple[str, ...]:
     return (
         _hash(_values(m)),
         _hash(_values(scaled)),
-        _hash(_values(scale(m, fixpoint=True))),
+        _hash(_values(extended_stage(scaled))),
         _hash(classify_rows(scaled)),
         _hash((graph.tags, graph.neighbors, graph.masks)),
     )

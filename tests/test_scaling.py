@@ -3,9 +3,9 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from helpers import random_matrix
+from helpers import extended_stage, random_matrix
 from refnet.matrix_io import SparseMatrix, classify_rows
-from refnet.scaling import _extended_pass, _simple_pass, _Workspace, scale
+from refnet.scaling import _simple_pass, _Workspace, scale
 
 
 def mat(n_rows, n_cols, entries):
@@ -24,13 +24,6 @@ def simple_stage(m):
     """The simple row-scaling stage of :func:`scale` on its own."""
     ws = _Workspace(m)
     _simple_pass(ws)
-    return ws.to_matrix()
-
-
-def extended_stage(m):
-    """One extended pass of :func:`scale`, without the simple stage first."""
-    ws = _Workspace(m)
-    _extended_pass(ws)
     return ws.to_matrix()
 
 
@@ -164,21 +157,14 @@ class TestInvariants:
             assert is_diagonal_rescaling(m, simple_stage(m))
             assert is_diagonal_rescaling(m, scale(m))
 
-    def test_fixpoint_stable(self):
-        rng = random.Random(7)
-        for _ in range(40):
-            m = random_matrix(rng)
-            settled = scale(m, fixpoint=True)
-            assert extended_stage(settled) == settled
-
-    def test_fixpoint_equals_single_pass(self):
-        # A second extended pass never finds anything left to do.
+    def test_single_pass_is_fixpoint(self):
+        # One more extended pass over the scaled values finds nothing to do.
         rng = random.Random(8)
         extended = 0
         for _ in range(200):
             m = random_matrix(rng)
             once = scale(m)
-            assert scale(m, fixpoint=True) == once
+            assert extended_stage(once) == once
             extended += once != simple_stage(m)
         assert extended > 50  # the first extended pass did act on many
 

@@ -11,6 +11,7 @@ from helpers import (
     pair_mask,
     random_balanced_graph,
     random_signed_graph,
+    switch,
 )
 from refnet.sga import (
     CoverBudgetError,
@@ -28,7 +29,6 @@ from refnet.signed_graph import (
     SignedGraph,
     induced_subgraph,
     is_balanced,
-    switch,
 )
 
 
@@ -175,7 +175,19 @@ class TestGreedyIndependentSet:
     def test_order_changes_choice(self):
         path = [[1], [0, 2], [1, 3], [2]]
         assert greedy_independent_set(path) == {0, 2}
-        assert greedy_independent_set(path, order=[3, 2, 1, 0]) == {1, 3}
+
+    def test_matches_minimum_degree_scan(self):
+        # Quadratic reference: minimum current degree, lowest index on ties.
+        rng = random.Random(7102)
+        for _ in range(200):
+            adj = [list(nb) for nb in random_signed_graph(rng, n_max=16, p_edge=0.25).neighbors]
+            alive = set(range(len(adj)))
+            expected = set()
+            while alive:
+                best = min(alive, key=lambda v: (sum(u in alive for u in adj[v]), v))
+                expected.add(best)
+                alive -= {best, *adj[best]}
+            assert greedy_independent_set(adj) == expected
 
     def test_maximal_independent(self):
         rng = random.Random(23)

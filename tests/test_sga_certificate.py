@@ -100,7 +100,7 @@ def test_permute_graph_matches_tuple_sort():
         assert permute_graph(graph, order) == reference_permute_graph(graph, order)
 
 
-def keep_everything(adjacency, order=None):
+def keep_everything(adjacency):
     return set(range(len(adjacency)))
 
 
@@ -129,7 +129,7 @@ class TestPerPassCheck:
         pick = random.Random(7003)
         chosen: list[tuple[list[list[int]], set[int]]] = []
 
-        def random_subset(adjacency, order=None):
+        def random_subset(adjacency):
             subset = {v for v in range(len(adjacency)) if pick.random() < 0.6}
             chosen.append((adjacency, subset))
             return subset
@@ -169,7 +169,7 @@ from refnet.sga import HeuristicResult
 module = importlib.import_module("refnet.sga")
 sga, sga_vc, sga_repeat = module.sga, module.sga_vc, module.sga_repeat
 triangle = SignedGraph.from_edges(3, [(0, 1, -1), (1, 2, -1), (0, 2, -1)])
-module.greedy_independent_set = lambda adjacency, order=None: set(range(len(adjacency)))
+module.greedy_independent_set = lambda adjacency: set(range(len(adjacency)))
 module.vertex_cover = lambda adjacency, size: set()
 calls = {
     "sga": lambda: sga(triangle, "DFS"),

@@ -14,16 +14,19 @@ from helpers import (
     random_balanced_graph,
     random_matrix,
     random_signed_graph,
+    reference_induced_subgraph,
+    switch,
 )
 from refnet.matrix_io import SparseMatrix, is_network_matrix
 from refnet.signed_graph import (
+    NEG,
+    POS,
     NotBalancedError,
     SignedGraph,
     build_signed_graph,
     extract_network,
     induced_subgraph,
     is_balanced,
-    switch,
 )
 
 
@@ -188,6 +191,29 @@ class TestInducedSubgraph:
         sub = induced_subgraph(fig_graph(), [0, 1, 2])
         assert sub.tags == (0, 1, 2)
         assert sub.edges == ((0, 1, -1), (0, 2, 1))
+
+    def test_matches_reference_construction(self):
+        # Unsorted picks with repeats; parallel +/- pairs must carry over.
+        rng = random.Random(7101)
+        pairs = 0
+        for _ in range(300):
+            g = random_signed_graph(rng, n_max=14, p_parallel=0.3)
+            picks = [rng.randrange(g.n) for _ in range(rng.randint(0, 2 * g.n))]
+            sub = induced_subgraph(g, picks)
+            ref = reference_induced_subgraph(g, picks)
+            assert (sub.n, sub.tags, sub.neighbors, sub.masks) == (
+                ref.n, ref.tags, ref.neighbors, ref.masks
+            )
+            pairs += sum(m == POS | NEG for row in sub.masks for m in row)
+        assert pairs > 100
+
+    @pytest.mark.parametrize("picks", [[0, -1], [-3, 2, -1], [3, 4, 9], [5, 9, 1]])
+    def test_out_of_range_vertex(self, picks):
+        with pytest.raises(ValueError, match="out of range") as got:
+            induced_subgraph(fig_graph(), picks)
+        with pytest.raises(ValueError) as want:
+            reference_induced_subgraph(fig_graph(), picks)
+        assert str(got.value) == str(want.value)
 
 
 class TestExtractNetwork:

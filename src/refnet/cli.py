@@ -23,10 +23,8 @@ import csv
 import io
 import json
 import random
-import statistics
 import sys
 import traceback
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -192,6 +190,8 @@ class BenchRecord:
 
 
 def _bench_one(path_str: str, seed: int, timeout: float, no_scaling: bool) -> BenchRecord:
+    import statistics
+
     path = Path(path_str)
     n = 0
     try:
@@ -236,6 +236,9 @@ def _fmt(value, digits: int = 2) -> str:
 
 
 def _bench_csv(records: list[BenchRecord]) -> str:
+    # statistics.mean keeps an integral mean an int, which _fmt prints bare.
+    import statistics
+
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(["instance", "k", *_HEUR_COLUMNS, "t", "t1", "n", "seed", "status"])
@@ -300,6 +303,10 @@ def cmd_bench(args: argparse.Namespace) -> int:
     )
     tasks = [(str(p), args.seed, args.timeout, args.no_scaling) for p in paths]
     if args.jobs > 1 and len(tasks) > 1:
+        # Imported here, not at the top: loading the process pool would add
+        # to every CLI start-up, and only a parallel bench uses it.
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
             records = list(pool.map(_bench_one, *zip(*tasks)))
     else:

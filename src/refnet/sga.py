@@ -9,20 +9,29 @@ construction, and on a balanced input the whole vertex set is retained no
 matter which forest was used.
 
 Each pass checks its retained set against the forest's own switch set: one
-scan over the edges between retained vertices, on the original signs,
-raises :class:`RuntimeError` unless every such edge is positive after the
-switch, and the same scan reads off the reflection.  The result a caller
+scan of the graph's pair list, on the original signs, raises
+:class:`RuntimeError` unless every edge between retained vertices is
+positive after the switch, and a walk over the retained subgraph's
+components then reads off the reflection.  The result a caller
 gets from :func:`sga_repeat` is certified once more, independently, by
 :func:`~refnet.signed_graph.is_balanced` on its induced subgraph.
 
 Three forest strategies are provided -- random search, breadth-first and
-depth-first -- plus a repetition wrapper that reruns the pass on pseudo-
-randomly permuted vertices and keeps the best result, and a variant that
-swaps the greedy independent-set step for an exact minimum vertex cover.
+depth-first -- plus a repetition wrapper that reruns the pass with the
+vertices in pseudo-random order and keeps the best result, and a variant
+that swaps the greedy independent-set step for an exact minimum vertex
+cover.
+
+A pass takes an optional vertex ``order``; a vertex's rank is its position
+in it, and without one the rank is the vertex id.  Forests restart and scan
+neighbors by ascending rank, and every tie (forest restarts, greedy
+independent-set picks, the reflection's reference vertex) goes to the
+lowest rank.  The pass thus equals the one on the copy relabelled by rank,
+but walks the graph itself and reports its own vertex ids.
 
 Reproducibility: all randomness flows through ``random.Random`` (Mersenne
 Twister) instances; repetition i of a run with seed s uses the sub-seed
-s + i, and the first repetition keeps the identity permutation.
+s + i, and the first repetition keeps the identity order.
 """
 
 from __future__ import annotations
@@ -30,6 +39,7 @@ from __future__ import annotations
 import heapq
 import random
 import time
+from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass, replace
 from typing import Callable, Sequence
@@ -128,7 +138,44 @@ class _RankTree:
         return i
 
 
-def forest_rs(graph: SignedGraph, rng: random.Random) -> SpanningForest:
+def _check_order(order: Sequence[int], n: int) -> None:
+    if len(order) != n or set(order) != set(range(n)):
+        raise ValueError(f"order must be a permutation of range({n})")
+
+
+def _ranked_neighbors(
+    graph: SignedGraph, order: Sequence[int] | None
+) -> Sequence[Sequence[int]]:
+    """Every vertex's neighbors in ascending rank (position in ``order``).
+
+    One bucket pass over ``order`` appends each vertex to its neighbors'
+    lists in turn, so no list is sorted; the identity order (``None``) is
+    the graph's own ascending lists.  A bad ``order`` raises ValueError.
+    """
+    if order is None:
+        return graph.neighbors
+    _check_order(order, graph.n)
+    ranked: list[list[int]] = [[] for _ in range(graph.n)]
+    for v in order:
+        for u in graph.neighbors[v]:
+            ranked[u].append(v)
+    return ranked
+
+
+def _tree_signs(graph: SignedGraph, parent: list[int]) -> tuple[int, ...]:
+    """Each vertex's tree-edge sign, its mask looked up once (0 for roots)."""
+    neighbors, masks = graph.neighbors, graph.masks
+    return tuple(
+        [
+            0 if p < 0 else _attach_sign(masks[v][bisect_left(neighbors[v], p)])
+            for v, p in enumerate(parent)
+        ]
+    )
+
+
+def forest_rs(
+    graph: SignedGraph, rng: random.Random, *, order: Sequence[int] | None = None
+) -> SpanningForest:
     """Random-search forest.
 
     Marks a uniformly random vertex, then repeatedly attaches a uniformly
@@ -136,8 +183,26 @@ def forest_rs(graph: SignedGraph, rng: random.Random) -> SpanningForest:
     it marks a fresh random vertex.  Pairs joined only by a +/- parallel
     couple are used (through the positive edge) only when no single-sign
     crossing pair exists.
+
+    A vertex's rank is its position in ``order`` (default: the identity).
+    Restart roots are drawn by rank among the unmarked vertices, and a newly
+    marked vertex queues its neighbors in ascending rank.
     """
     n = graph.n
+    if order is None:
+        order = rank = range(n)
+        neighbors, masks = graph.neighbors, graph.masks
+    else:
+        # The bucket pass of _ranked_neighbors, keeping the masks alongside.
+        _check_order(order, n)
+        rank = [0] * n
+        neighbors = [[] for _ in range(n)]
+        masks = [[] for _ in range(n)]
+        for j, v in enumerate(order):
+            rank[v] = j
+            for u, m in zip(graph.neighbors[v], graph.masks[v]):
+                neighbors[u].append(v)
+                masks[u].append(m)
     marked = [False] * n
     parent = [-1] * n
     parent_sign = [0] * n
@@ -146,13 +211,12 @@ def forest_rs(graph: SignedGraph, rng: random.Random) -> SpanningForest:
     singles: list[tuple[int, int, int]] = []
     doubles: list[tuple[int, int, int]] = []
 
-    # Restart roots are drawn by rank among the unmarked vertices, ascending.
     unmarked = _RankTree(n)
 
     def mark(v: int) -> None:
         marked[v] = True
-        unmarked.remove(v)
-        for u, m in zip(graph.neighbors[v], graph.masks[v]):
+        unmarked.remove(rank[v])
+        for u, m in zip(neighbors[v], masks[v]):
             if not marked[u]:
                 pending = doubles if m == POS | NEG else singles
                 pending.append((u, v, _attach_sign(m)))
@@ -169,7 +233,7 @@ def forest_rs(graph: SignedGraph, rng: random.Random) -> SpanningForest:
 
     remaining = n
     while remaining:
-        root = unmarked.select(rng.randrange(remaining))
+        root = order[unmarked.select(rng.randrange(remaining))]
         roots.append(root)
         mark(root)
         remaining -= 1
@@ -185,16 +249,20 @@ def forest_rs(graph: SignedGraph, rng: random.Random) -> SpanningForest:
     return SpanningForest(n, tuple(parent), tuple(parent_sign), tuple(roots))
 
 
-def forest_bfs(graph: SignedGraph) -> SpanningForest:
+def forest_bfs(
+    graph: SignedGraph, *, order: Sequence[int] | None = None
+) -> SpanningForest:
     """Breadth-first forest; every restart picks an unmarked vertex of
-    maximum degree (ties to the lowest index), neighbors scanned ascending."""
+    maximum degree, ties to the lowest rank (position in ``order``, default
+    the identity), and neighbors are scanned in ascending rank."""
     n = graph.n
+    adjacency = _ranked_neighbors(graph, order)
     marked = [False] * n
     parent = [-1] * n
-    parent_sign = [0] * n
     roots: list[int] = []
-    # A stable sort keeps ascending indices within each degree.
-    for root in sorted(range(n), key=lambda v: -graph.degree(v)):
+    # A stable sort keeps ascending ranks within each degree.
+    starts = range(n) if order is None else order
+    for root in sorted(starts, key=lambda v: -len(adjacency[v])):
         if marked[root]:
             continue
         roots.append(root)
@@ -202,43 +270,42 @@ def forest_bfs(graph: SignedGraph) -> SpanningForest:
         queue = deque([root])
         while queue:
             v = queue.popleft()
-            for u, m in zip(graph.neighbors[v], graph.masks[v]):
+            for u in adjacency[v]:
                 if not marked[u]:
                     marked[u] = True
                     parent[u] = v
-                    parent_sign[u] = _attach_sign(m)
                     queue.append(u)
-    return SpanningForest(n, tuple(parent), tuple(parent_sign), tuple(roots))
+    return SpanningForest(n, tuple(parent), _tree_signs(graph, parent), tuple(roots))
 
 
-def forest_dfs(graph: SignedGraph) -> SpanningForest:
-    """Depth-first forest; restarts at the lowest unmarked index, neighbors
-    scanned ascending.  Realized with an explicit stack."""
+def forest_dfs(
+    graph: SignedGraph, *, order: Sequence[int] | None = None
+) -> SpanningForest:
+    """Depth-first forest; restarts at the unmarked vertex of lowest rank
+    (position in ``order``, default the identity), neighbors scanned in
+    ascending rank.  Realized with an explicit stack."""
     n = graph.n
+    adjacency = _ranked_neighbors(graph, order)
     marked = [False] * n
     parent = [-1] * n
-    parent_sign = [0] * n
     roots: list[int] = []
-    for start in range(n):
+    for start in range(n) if order is None else order:
         if marked[start]:
             continue
         roots.append(start)
         marked[start] = True
-        stack = [(start, iter(zip(graph.neighbors[start], graph.masks[start])))]
+        stack = [(start, iter(adjacency[start]))]
         while stack:
             v, it = stack[-1]
-            advanced = False
-            for u, m in it:
+            for u in it:
                 if not marked[u]:
                     marked[u] = True
                     parent[u] = v
-                    parent_sign[u] = _attach_sign(m)
-                    stack.append((u, iter(zip(graph.neighbors[u], graph.masks[u]))))
-                    advanced = True
+                    stack.append((u, iter(adjacency[u])))
                     break
-            if not advanced:
+            else:
                 stack.pop()
-    return SpanningForest(n, tuple(parent), tuple(parent_sign), tuple(roots))
+    return SpanningForest(n, tuple(parent), _tree_signs(graph, parent), tuple(roots))
 
 
 def switch_set_from_forest(forest: SpanningForest) -> frozenset[int]:
@@ -291,96 +358,102 @@ def greedy_independent_set(adjacency: Sequence[Sequence[int]]) -> set[int]:
 
 
 def _negative_structure(
-    graph: SignedGraph, switch_set: frozenset[int]
+    graph: SignedGraph,
+    switch_set: frozenset[int],
+    order: Sequence[int] | None = None,
 ) -> tuple[list[int], list[list[int]]]:
     """Vertices and adjacency of the negative subgraph of the switched graph.
 
-    Computed directly from the original masks to avoid materializing the
-    switched graph.
+    Computed from the original masks in one scan of ``graph.pairs``, without
+    materializing the switched graph.  The vertices are listed in ascending
+    rank (position in ``order``, default the identity) and the adjacency
+    holds positions in that list, ascending.
     """
-    inside = [False] * graph.n
+    n = graph.n
+    inside = [False] * n
     for v in switch_set:
         inside[v] = True
-    pairs: list[tuple[int, int]] = []
-    seen: set[int] = set()
-    for v in range(graph.n):
-        for u, m in zip(graph.neighbors[v], graph.masks[v]):
-            if u <= v:
-                continue
-            if m == POS | NEG:
-                has_neg = True
-            elif inside[v] != inside[u]:
-                has_neg = m == POS
-            else:
-                has_neg = m == NEG
-            if has_neg:
-                pairs.append((v, u))
-                seen.add(v)
-                seen.add(u)
-    verts = sorted(seen)
-    index = {v: i for i, v in enumerate(verts)}
+    # A single-sign edge is negative after the switch when it is positive
+    # and crosses the switch set, or negative and does not.
+    negative = [
+        (u, v)
+        for u, v, m in graph.pairs
+        if m == POS | NEG or (m == POS) == (inside[u] != inside[v])
+    ]
+    touched = [False] * n
+    for u, v in negative:
+        touched[u] = touched[v] = True
+    verts = [v for v in (range(n) if order is None else order) if touched[v]]
+    index = [0] * n
+    for i, v in enumerate(verts):
+        index[v] = i
     adj: list[list[int]] = [[] for _ in verts]
-    for v, u in pairs:
-        adj[index[v]].append(index[u])
+    for u, v in negative:
         adj[index[u]].append(index[v])
+        adj[index[v]].append(index[u])
     for lst in adj:
         lst.sort()
     return verts, adj
 
 
 def _build_forest(
-    graph: SignedGraph, strategy: str, rng: random.Random | None
+    graph: SignedGraph,
+    strategy: str,
+    rng: random.Random | None,
+    order: Sequence[int] | None,
 ) -> SpanningForest:
     if strategy == "RS":
-        return forest_rs(graph, rng if rng is not None else random.Random(0))
+        return forest_rs(graph, rng if rng is not None else random.Random(0), order=order)
     if strategy == "BFS":
-        return forest_bfs(graph)
+        return forest_bfs(graph, order=order)
     if strategy == "DFS":
-        return forest_dfs(graph)
+        return forest_dfs(graph, order=order)
     raise ValueError(f"unknown forest strategy {strategy!r}; expected one of {STRATEGIES}")
 
 
 def _certified_reflection(
-    graph: SignedGraph, keep: list[bool], flips: frozenset[int]
+    graph: SignedGraph,
+    keep: list[bool],
+    flips: frozenset[int],
+    order: Sequence[int] | None,
 ) -> frozenset[int]:
     """Check the retained set against the forest's switch set; its reflection.
 
     Every edge between retained vertices must be positive after switching
     ``flips``, which makes ``flips`` a balancing switch of the retained
     subgraph; a violation raises :class:`RuntimeError`.  Components are
-    entered in ascending vertex order, and the reflection holds the vertices
-    whose ``flips`` side differs from their component's lowest vertex: the
-    switch set :func:`is_balanced` reports for the same subgraph.
+    entered in ascending rank (position in ``order``, default the
+    identity), and the reflection holds the vertices whose ``flips`` side
+    differs from their component's lowest-ranked vertex: the switch set
+    :func:`is_balanced` reports for the same subgraph relabelled by rank.
     """
     n = graph.n
     inside = [False] * n
     for v in flips:
         inside[v] = True
-    neighbors, masks = graph.neighbors, graph.masks
-    seen = [False] * n
+    for u, v, m in graph.pairs:
+        if keep[u] and keep[v] and m != (POS if inside[u] == inside[v] else NEG):
+            raise RuntimeError(
+                f"retained vertices {u} and {v} are joined by a negative"
+                " edge after the forest's switch; the independent-set"
+                " step returned a dependent set"
+            )
+    neighbors = graph.neighbors
+    unseen = list(keep)  # retained vertices no component has entered yet
     reflection: list[int] = []
-    for start in range(n):
-        if not keep[start] or seen[start]:
+    for start in range(n) if order is None else order:
+        if not unseen[start]:
             continue
-        seen[start] = True
+        unseen[start] = False
         side = inside[start]
         stack = [start]
         while stack:
             v = stack.pop()
-            side_v = inside[v]
-            if side_v != side:
+            if inside[v] != side:
                 reflection.append(v)
-            for u, m in zip(neighbors[v], masks[v]):
-                if not keep[u]:
-                    continue
-                if m != (POS if inside[u] == side_v else NEG):
-                    raise RuntimeError(
-                        f"retained vertices {v} and {u} are joined by a negative"
-                        " edge after the forest's switch; the independent-set"
-                        " step returned a dependent set"
-                    )
-                if not seen[u]:
-                    seen[u] = True
+            for u in neighbors[v]:
+                if unseen[u]:
+                    unseen[u] = False
                     stack.append(u)
     return frozenset(reflection)
 
@@ -389,15 +462,16 @@ def _pass(
     graph: SignedGraph,
     strategy: str,
     rng: random.Random | None,
+    order: Sequence[int] | None,
     independent_set: Callable[[list[list[int]]], set[int]],
     cover: str,
 ) -> HeuristicResult:
     """Forest, switch set, negative structure, independent set, retained rows."""
     started = time.perf_counter()
     strategy = strategy.upper()
-    forest = _build_forest(graph, strategy, rng)
+    forest = _build_forest(graph, strategy, rng, order)
     flips = switch_set_from_forest(forest)
-    neg_verts, neg_adj = _negative_structure(graph, flips)
+    neg_verts, neg_adj = _negative_structure(graph, flips, order)
     independent = independent_set(neg_adj)
     keep = [True] * graph.n
     for v in neg_verts:
@@ -408,7 +482,7 @@ def _pass(
     return HeuristicResult(
         retained=tuple(retained),
         k=graph.n - len(retained),
-        reflection=_certified_reflection(graph, keep, flips),
+        reflection=_certified_reflection(graph, keep, flips, order),
         strategy=strategy,
         repeats=1,
         seed=None,
@@ -418,19 +492,32 @@ def _pass(
 
 
 def sga(
-    graph: SignedGraph, strategy: str = "DFS", rng: random.Random | None = None
+    graph: SignedGraph,
+    strategy: str = "DFS",
+    rng: random.Random | None = None,
+    order: Sequence[int] | None = None,
 ) -> HeuristicResult:
     """One heuristic pass with the given forest strategy.
 
     ``rng`` only matters for the RS strategy (an unseeded run defaults to
-    ``random.Random(0)`` so results stay reproducible).
+    ``random.Random(0)`` so results stay reproducible).  ``order`` ranks the
+    vertices (default: the identity): forests restart and scan neighbors by
+    ascending rank and greedy ties go to the lowest rank, so the pass is the
+    one on the copy relabelled by rank, reported in this graph's ids.  It
+    must be a permutation of ``range(graph.n)``, else :class:`ValueError`.
     """
-    return _pass(graph, strategy, rng, greedy_independent_set, "greedy")
+    return _pass(graph, strategy, rng, order, greedy_independent_set, "greedy")
 
 
 def permute_graph(graph: SignedGraph, order: Sequence[int]) -> SignedGraph:
-    """Relabelled copy where new vertex j is the old vertex ``order[j]``."""
+    """Relabelled copy where new vertex j is the old vertex ``order[j]``.
+
+    ``order`` must be a permutation of ``range(graph.n)``, else
+    :class:`ValueError`.  The heuristic ranks vertices in place instead
+    (the ``order`` of :func:`sga`); this copy is what such a pass equals.
+    """
     n = graph.n
+    _check_order(order, n)
     new_of_old = [0] * n
     for j, old in enumerate(order):
         new_of_old[old] = j
@@ -450,11 +537,12 @@ def permute_graph(graph: SignedGraph, order: Sequence[int]) -> SignedGraph:
 def sga_repeat(
     graph: SignedGraph, repeats: int, strategy: str = "DFS", seed: int = 1
 ) -> HeuristicResult:
-    """Best of ``repeats`` passes over pseudo-randomly permuted vertices.
+    """Best of ``repeats`` passes over pseudo-randomly ranked vertices.
 
-    Repetition i draws its permutation and RS randomness from
-    ``random.Random(seed + i)``; repetition 0 keeps the identity permutation,
-    so one repetition reproduces :func:`sga` exactly.  Ties keep the earliest
+    Repetition i draws its vertex order and RS randomness from
+    ``random.Random(seed + i)`` and runs :func:`sga` with that ``order`` on
+    the graph itself; repetition 0 keeps the identity order, so one
+    repetition reproduces :func:`sga` exactly.  Ties keep the earliest
     repetition, making the best-of sequence monotone in ``repeats`` for a
     fixed seed.  Only the reported retained set goes through the full
     :func:`is_balanced` certificate; failing it raises :class:`RuntimeError`.
@@ -465,21 +553,13 @@ def sga_repeat(
     best: HeuristicResult | None = None
     for i in range(repeats):
         rng = random.Random(seed + i)
-        order = list(range(graph.n))
-        if i == 0:
-            permuted = graph
-        else:
+        order = None
+        if i:
+            order = list(range(graph.n))
             rng.shuffle(order)
-            permuted = permute_graph(graph, order)
-        result = sga(permuted, strategy, rng)
+        result = sga(graph, strategy, rng, order)
         if best is None or len(result.retained) > len(best.retained):
-            best = replace(
-                result,
-                retained=tuple(sorted(order[v] for v in result.retained)),
-                reflection=frozenset(order[v] for v in result.reflection),
-                repeats=repeats,
-                seed=seed,
-            )
+            best = replace(result, repeats=repeats, seed=seed)
     assert best is not None
     if not is_balanced(induced_subgraph(graph, best.retained)).balanced:
         raise RuntimeError(
@@ -514,4 +594,4 @@ def sga_vc(
             f"no vertex cover of size <= {budget} found within the budget"
         )
 
-    return _pass(graph, strategy, rng, cover_complement, "exact")
+    return _pass(graph, strategy, rng, None, cover_complement, "exact")

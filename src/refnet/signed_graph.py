@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Sequence
 
 from refnet.matrix_io import SparseMatrix, classify_rows, is_network_matrix
@@ -93,27 +94,35 @@ class SignedGraph:
             tags = range(n)
         return cls(n, tuple(tags), tuple(neighbors), tuple(masks))
 
+    @cached_property
+    def pairs(self) -> tuple[tuple[int, int, int], ...]:
+        """Adjacent pairs as (u, v, mask) with u < v, in ascending order.
+
+        Built on first use and kept: every heuristic pass scans it.
+        """
+        return tuple(
+            [
+                (u, v, m)
+                for u in range(self.n)
+                for v, m in zip(self.neighbors[u], self.masks[u])
+                if v > u
+            ]
+        )
+
     @property
     def edges(self) -> tuple[SignedEdge, ...]:
         """All edges as (u, v, sign) with u < v; + precedes - per pair."""
         out: list[SignedEdge] = []
-        for u in range(self.n):
-            for v, m in zip(self.neighbors[u], self.masks[u]):
-                if v > u:
-                    if m & POS:
-                        out.append((u, v, 1))
-                    if m & NEG:
-                        out.append((u, v, -1))
+        for u, v, m in self.pairs:
+            if m & POS:
+                out.append((u, v, 1))
+            if m & NEG:
+                out.append((u, v, -1))
         return tuple(out)
 
     @property
     def n_edges(self) -> int:
-        return sum(
-            (1 if m != POS | NEG else 2)
-            for u in range(self.n)
-            for v, m in zip(self.neighbors[u], self.masks[u])
-            if v > u
-        )
+        return len(self.pairs) + sum(1 for _, _, m in self.pairs if m == POS | NEG)
 
     def degree(self, v: int) -> int:
         """Number of distinct neighbors; a parallel +/- pair counts once."""

@@ -3,7 +3,11 @@ from __future__ import annotations
 import csv
 import json
 import multiprocessing
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -13,6 +17,8 @@ from refnet.cli import main
 from refnet.exact import brute_force_mbd
 from refnet.matrix_io import SparseMatrix, dump_coord, parse_coord
 from refnet.signed_graph import SignedGraph
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def fig_graph() -> SignedGraph:
@@ -427,3 +433,19 @@ class TestRetiredFlags:
         err = capsys.readouterr().err
         assert err.startswith("usage: ")
         assert f"unrecognized arguments: {flag}" in err
+
+
+def test_import_leaves_out_bench_only_modules():
+    # Only `bench` uses the process pool and statistics; every other command
+    # starts without loading them.
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(SRC) + (os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
+    script = (
+        "import json, sys, refnet.cli; print(json.dumps(sorted(m for m in"
+        " ('multiprocessing', 'concurrent.futures.process', 'statistics') if m in sys.modules)))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == []

@@ -290,6 +290,34 @@ class TestSgaRepeat:
         assert is_balanced(p).balanced == is_balanced(g).balanced
 
 
+class TestOrder:
+    """``order`` must be a permutation of the vertex ids."""
+
+    PATH = SignedGraph.from_edges(3, [(0, 1, 1), (1, 2, -1)])
+    BAD = {
+        "short": [0, 1],
+        "long": [0, 1, 2, 0],
+        "duplicate": [0, 0, 1],
+        "out-of-range": [0, 1, 3],
+        "negative": [-1, 0, 1],
+    }
+    CALLS = {
+        "permute_graph": lambda g, order: permute_graph(g, order),
+        "forest_rs": lambda g, order: forest_rs(g, random.Random(1), order=order),
+        "forest_bfs": lambda g, order: forest_bfs(g, order=order),
+        "forest_dfs": lambda g, order: forest_dfs(g, order=order),
+        "sga_RS": lambda g, order: sga(g, "RS", random.Random(1), order=order),
+        "sga_BFS": lambda g, order: sga(g, "BFS", order=order),
+        "sga_DFS": lambda g, order: sga(g, "DFS", order=order),
+    }
+
+    @pytest.mark.parametrize("call", sorted(CALLS))
+    @pytest.mark.parametrize("kind", sorted(BAD))
+    def test_rejects_non_permutation(self, call, kind):
+        with pytest.raises(ValueError, match="permutation"):
+            self.CALLS[call](self.PATH, self.BAD[kind])
+
+
 class TestSgaVc:
     def test_balanced_input_keeps_everything(self):
         g = random_balanced_graph(random.Random(29))
@@ -353,3 +381,15 @@ def test_negative_structure_matches_public_pipeline():
             (reference.tags[a], reference.tags[b]) for a, b, _ in reference.edges
         }
         assert edges == ref_edges
+        # Ranked: the vertices come in ascending rank, each adjacency
+        # ascending in that list, so greedy ties go to the lowest rank.
+        order = rng.sample(range(g.n), g.n)
+        rank = {v: j for j, v in enumerate(order)}
+        verts, adj = _negative_structure(g, flips, order)
+        assert verts == sorted(reference.tags, key=rank.__getitem__)
+        assert all(lst == sorted(lst) for lst in adj)
+        assert {
+            (min(verts[a], verts[b]), max(verts[a], verts[b]))
+            for a in range(len(adj))
+            for b in adj[a]
+        } == ref_edges

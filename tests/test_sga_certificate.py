@@ -5,7 +5,8 @@ reads the reflection off that scan; ``sga_repeat`` certifies only the result
 it reports.  These tests hold both against a reference that certifies every
 pass with ``induced_subgraph`` + ``is_balanced`` and permutes by sorting
 ``(id, mask)`` tuples, and check that a bad independent set is refused,
-also under ``python -O``.
+also under ``python -O``.  A pass given a vertex ``order`` walks the graph
+itself; the reference runs on the copy relabelled by that order.
 """
 
 from __future__ import annotations
@@ -22,11 +23,22 @@ import pytest
 
 from helpers import (
     random_signed_graph,
+    reference_pass,
     reference_permute_graph,
     reference_sga_repeat,
     reference_sga_vc,
 )
-from refnet.sga import HeuristicResult, permute_graph, sga, sga_repeat, sga_vc
+from refnet.sga import (
+    HeuristicResult,
+    forest_bfs,
+    forest_dfs,
+    forest_rs,
+    greedy_independent_set,
+    permute_graph,
+    sga,
+    sga_repeat,
+    sga_vc,
+)
 from refnet.signed_graph import SignedGraph, induced_subgraph, is_balanced
 
 sga_module = importlib.import_module("refnet.sga")
@@ -98,6 +110,49 @@ def test_permute_graph_matches_tuple_sort():
         rng.shuffle(order)
         # Dataclass equality compares tags, neighbors and masks.
         assert permute_graph(graph, order) == reference_permute_graph(graph, order)
+
+
+ORDERED = [
+    (graph, random.Random(7004 + i).sample(range(graph.n), graph.n))
+    for i, graph in enumerate([SignedGraph(0, (), (), ()), SignedGraph.from_edges(1, []), *GRAPHS])
+]
+
+
+def forest_in_original_ids(forest, order):
+    """A forest of the copy relabelled by ``order``, in the original ids."""
+    parent = [-1] * forest.n
+    parent_sign = [0] * forest.n
+    for j, p in enumerate(forest.parent):
+        if p != -1:
+            parent[order[j]] = order[p]
+            parent_sign[order[j]] = forest.parent_sign[j]
+    return tuple(parent), tuple(parent_sign), tuple(order[r] for r in forest.roots)
+
+
+@pytest.mark.parametrize("strategy", ["RS", "BFS", "DFS"])
+def test_ranked_forest_matches_relabelled_copy(strategy):
+    build = {
+        "RS": lambda g, seed, **kw: forest_rs(g, random.Random(seed), **kw),
+        "BFS": lambda g, seed, **kw: forest_bfs(g, **kw),
+        "DFS": lambda g, seed, **kw: forest_dfs(g, **kw),
+    }[strategy]
+    for seed, (graph, order) in enumerate(ORDERED):
+        expected = forest_in_original_ids(build(reference_permute_graph(graph, order), seed), order)
+        forest = build(graph, seed, order=order)
+        assert (forest.parent, forest.parent_sign, forest.roots) == expected
+
+
+@pytest.mark.parametrize("strategy", ["RS", "BFS", "DFS"])
+def test_ranked_pass_matches_relabelled_copy(strategy):
+    for seed, (graph, order) in enumerate(ORDERED):
+        copy = reference_permute_graph(graph, order)
+        expected = reference_pass(copy, strategy, random.Random(seed), greedy_independent_set)
+        result = sga(graph, strategy, random.Random(seed), order=order)
+        assert outcome(result) == (
+            tuple(sorted(order[v] for v in expected.retained)),
+            frozenset(order[v] for v in expected.reflection),
+            expected.k,
+        )
 
 
 def keep_everything(adjacency):

@@ -75,6 +75,37 @@ class TestBuild:
                 seen.add((u, v, s))
 
 
+class TestPairs:
+    """``pairs`` is built once; ``edges`` and ``n_edges`` derive from it."""
+
+    def test_equal_to_adjacency_scans(self):
+        rng = random.Random(12)
+        graphs = [SignedGraph(0, (), (), ()), fig_graph()]
+        graphs += [random_signed_graph(rng, p_parallel=0.3) for _ in range(100)]
+        for g in graphs:
+            assert g.pairs == tuple(
+                (u, v, m)
+                for u in range(g.n)
+                for v, m in zip(g.neighbors[u], g.masks[u])
+                if v > u
+            )
+            edges = []
+            for u in range(g.n):
+                for v, m in zip(g.neighbors[u], g.masks[u]):
+                    if v > u:
+                        if m & POS:
+                            edges.append((u, v, 1))
+                        if m & NEG:
+                            edges.append((u, v, -1))
+            assert g.edges == tuple(edges)
+            assert g.n_edges == len(edges)
+
+    def test_cached_and_outside_equality(self):
+        g, h = fig_graph(), fig_graph()
+        assert g.pairs is g.pairs
+        assert g == h and hash(g) == hash(h)
+
+
 class TestSwitch:
     def test_empty_and_full_are_identity(self):
         g = fig_graph()

@@ -25,6 +25,7 @@ from refnet.signed_graph import (
     NotBalancedError,
     SignedGraph,
     build_signed_graph,
+    disjoint_unbalanced_cycles,
     extract_network,
     induced_subgraph,
     is_balanced,
@@ -70,6 +71,7 @@ __all__ = [
     "NotBalancedError",
     "SignedGraph",
     "build_signed_graph",
+    "disjoint_unbalanced_cycles",
     "extract_network",
     "induced_subgraph",
     "is_balanced",

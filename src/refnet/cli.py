@@ -4,7 +4,8 @@ Four subcommands cover the full workflow:
 
 * ``extract`` -- parse, scale, build the signed graph and run a spanning-
   forest heuristic (with repetitions or the exact-cover variant); reports
-  the retained rows and the rows to reflect.
+  the retained rows, the rows to reflect, and a lower bound on k (the
+  number of vertex-disjoint unbalanced cycles).
 * ``exact``   -- same pipeline but solve minimum balanced deletion exactly
   under a wall-clock timeout; a timeout is a result, not a failure, and
   reports the proven lower bound reached.
@@ -32,7 +33,7 @@ from refnet.exact import CancelToken, DeletionBudgetError, mbd_exact
 from refnet.matrix_io import MatrixFormatError, SparseMatrix, dump_coord, parse_coord, parse_mps
 from refnet.scaling import scale
 from refnet.sga import STRATEGIES, CoverBudgetError, sga_repeat, sga_vc
-from refnet.signed_graph import SignedGraph, build_signed_graph
+from refnet.signed_graph import SignedGraph, build_signed_graph, disjoint_unbalanced_cycles
 
 _SERIES = (("SGA", 1), ("SGA3", 3), ("SGA80", 80))
 _HEUR_COLUMNS = [f"{series}_{strat}" for series, _ in _SERIES for strat in STRATEGIES]
@@ -106,6 +107,7 @@ def cmd_extract(args: argparse.Namespace) -> int:
         "instance": path.stem,
         "n": graph.n,
         "k": result.k,
+        "lower_bound": len(disjoint_unbalanced_cycles(graph)),
         "retained_count": len(result.retained),
         "retained_rows": _row_names(matrix, retained_rows),
         "reflected_rows": _row_names(matrix, reflected_rows),

@@ -20,7 +20,9 @@ Three forest strategies are provided -- random search, breadth-first and
 depth-first -- plus a repetition wrapper that reruns the pass with the
 vertices in pseudo-random order and keeps the best result, and a variant
 that swaps the greedy independent-set step for an exact minimum vertex
-cover.
+cover.  The repetition wrapper stops early once its best result meets a
+lower bound, the number of vertex-disjoint unbalanced cycles, which proves
+it optimal; the result is the same as after every repetition.
 
 A pass takes an optional vertex ``order``; a vertex's rank is its position
 in it, and without one the rank is the vertex id.  Forests restart and scan
@@ -49,6 +51,7 @@ from refnet.signed_graph import (
     NEG,
     POS,
     SignedGraph,
+    disjoint_unbalanced_cycles,
     induced_subgraph,
     is_balanced,
 )
@@ -546,11 +549,21 @@ def sga_repeat(
     repetition, making the best-of sequence monotone in ``repeats`` for a
     fixed seed.  Only the reported retained set goes through the full
     :func:`is_balanced` certificate; failing it raises :class:`RuntimeError`.
+
+    Before a second repetition the graph's
+    :func:`~refnet.signed_graph.disjoint_unbalanced_cycles` are counted
+    once: each needs a deleted vertex of its own, so no pass drops fewer
+    vertices.  The loop stops as soon as the best ``k`` meets that bound;
+    no later repetition could then beat it under the earliest-tie rule, so
+    the result is the best of all ``repeats`` and ``repeats`` reports the
+    requested count.  A best ``k`` below the bound contradicts it and raises
+    :class:`RuntimeError`.
     """
     if repeats < 1:
         raise ValueError("repeats must be at least 1")
     started = time.perf_counter()
     best: HeuristicResult | None = None
+    bound: int | None = None
     for i in range(repeats):
         rng = random.Random(seed + i)
         order = None
@@ -560,11 +573,21 @@ def sga_repeat(
         result = sga(graph, strategy, rng, order)
         if best is None or len(result.retained) > len(best.retained):
             best = replace(result, repeats=repeats, seed=seed)
+        if i + 1 < repeats:
+            if bound is None:
+                bound = len(disjoint_unbalanced_cycles(graph))
+            if best.k <= bound:
+                break
     assert best is not None
     if not is_balanced(induced_subgraph(graph, best.retained)).balanced:
         raise RuntimeError(
             "the best repetition's retained set does not induce a balanced"
             " subgraph; this contradicts its per-pass check and indicates a bug"
+        )
+    if bound is not None and best.k < bound:
+        raise RuntimeError(
+            f"the best repetition drops {best.k} vertices, fewer than the"
+            f" {bound} disjoint unbalanced cycles need; this indicates a bug"
         )
     return replace(best, elapsed=time.perf_counter() - started)
 
@@ -578,15 +601,28 @@ def sga_vc(
     """Heuristic pass with an exact minimum vertex cover in place of greedy.
 
     The cover is computed on the negative subgraph by sweeping the cover
-    size upward from zero; its complement there is a maximum independent
-    set, so the retained set is never smaller than the greedy variant's on
-    the same forest.  ``vc_budget`` caps the sweep; exhausting it raises
-    :class:`CoverBudgetError` so callers can fall back to greedy.
+    size upward from the size of a greedy maximal matching there (each
+    matched edge needs a cover vertex of its own, so no smaller size can
+    succeed); its complement is a maximum independent set, so the retained
+    set is never smaller than the greedy variant's on the same forest.
+    ``vc_budget`` caps the sweep; exhausting it, or a matching already
+    larger than it, raises :class:`CoverBudgetError` so callers can fall
+    back to greedy.
     """
 
     def cover_complement(adjacency: list[list[int]]) -> set[int]:
         budget = len(adjacency) if vc_budget is None else vc_budget
-        for size in range(budget + 1):
+        matched = [False] * len(adjacency)
+        matching = 0
+        for v, row in enumerate(adjacency):
+            if matched[v]:
+                continue
+            for u in row:
+                if not matched[u]:
+                    matched[v] = matched[u] = True
+                    matching += 1
+                    break
+        for size in range(matching, budget + 1):
             cover = vertex_cover(adjacency, size)
             if cover is not None:
                 return set(range(len(adjacency))) - cover

@@ -253,6 +253,63 @@ def is_balanced(graph: SignedGraph) -> BalanceCertificate:
     return BalanceCertificate(switch_set=switch_set)
 
 
+def disjoint_unbalanced_cycles(graph: SignedGraph) -> tuple[tuple[SignedEdge, ...], ...]:
+    """Pairwise vertex-disjoint unbalanced cycles, each in witness format.
+
+    Every +/- pair whose two ends are still free is taken first, in
+    ``graph.pairs`` order.  The free vertices are then two-labelled as in
+    :func:`is_balanced`, components entered in ascending order; a conflict
+    takes its fundamental cycle, removes that cycle's vertices and labels
+    the component afresh.  Each cycle needs a deleted vertex of its own, so
+    their number is a lower bound on the minimum balanced deletion, and it
+    is zero exactly on a balanced graph.  A component is labelled once more
+    per cycle found in it, and the cycles never outnumber that optimum.
+    """
+    n = graph.n
+    free = [True] * n
+    cycles: list[tuple[SignedEdge, ...]] = []
+    for u, v, m in graph.pairs:
+        if m == POS | NEG and free[u] and free[v]:
+            free[u] = free[v] = False
+            cycles.append(((u, v, 1), (v, u, -1)))
+    # Between free vertices every pair is now single-signed.
+    neighbors, masks = graph.neighbors, graph.masks
+    label = [-1] * n
+    parent = [-1] * n
+    parent_sign = [0] * n
+    depth = [0] * n
+    for start in range(n):
+        while free[start] and label[start] < 0:
+            label[start] = depth[start] = 0
+            queue = [start]  # also the list of labelled vertices, to undo them
+            cycle = None
+            for v in queue:
+                for u, m in zip(neighbors[v], masks[v]):
+                    if not free[u]:
+                        continue
+                    sign = 1 if m == POS else -1
+                    want = label[v] if sign == 1 else 1 - label[v]
+                    if label[u] < 0:
+                        label[u] = want
+                        parent[u] = v
+                        parent_sign[u] = sign
+                        depth[u] = depth[v] + 1
+                        queue.append(u)
+                    elif label[u] != want:
+                        cycle = _witness_cycle(u, v, sign, parent, parent_sign, depth)
+                        break
+                if cycle is not None:
+                    break
+            if cycle is None:
+                break
+            cycles.append(cycle)
+            for a, _, _ in cycle:
+                free[a] = False
+            for v in queue:
+                label[v] = -1
+    return tuple(cycles)
+
+
 def induced_subgraph(graph: SignedGraph, vertices: Iterable[int]) -> SignedGraph:
     """Subgraph on the given vertices with all signs preserved.
 

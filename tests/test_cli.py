@@ -48,13 +48,14 @@ class TestExtract:
         path.write_text(network_coord())
         assert main(["extract", str(path), "--out", "json"]) == 0
         payload = json.loads(capsys.readouterr().out)
-        assert payload["k"] == 0
+        assert payload["k"] == payload["lower_bound"] == 0
         assert payload["retained_count"] == 3
 
     def test_fig_dfs(self, fig_coord, capsys):
         assert main(["extract", str(fig_coord), "--forest", "dfs", "--out", "json"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["k"] == 1
+        assert payload["lower_bound"] == 1  # the +/- pair of rows 3 and 4
         assert payload["retained_rows"] == ["1", "2", "3"]
         assert payload["reflected_rows"] == ["2"]
 
@@ -65,6 +66,7 @@ class TestExtract:
         ) == 0
         out = capsys.readouterr().out
         assert "k" in out and "1" in out
+        assert "lower_bound     1\n" in out
 
     def test_vc_variant(self, fig_coord, capsys):
         assert main(["extract", str(fig_coord), "--vc", "--out", "json"]) == 0
@@ -121,8 +123,18 @@ class TestExtract:
     def test_csv_output(self, fig_coord, capsys):
         assert main(["extract", str(fig_coord), "--out", "csv"]) == 0
         rows = list(csv.reader(capsys.readouterr().out.splitlines()))
-        assert rows[0][:3] == ["instance", "n", "k"]
-        assert rows[1][2] == "1"
+        assert rows[0][:4] == ["instance", "n", "k", "lower_bound"]
+        assert rows[1][2:4] == ["1", "1"]
+
+    def test_lower_bound_below_the_optimum(self, tmp_path, capsys):
+        rng = random.Random(71)
+        for trial in range(8):
+            graph = random_signed_graph(rng, n_max=10)
+            path = tmp_path / f"inst{trial}.mps"
+            path.write_text(write_mps(matrix_realizing(graph)))
+            assert main(["extract", str(path), "--repeats", "80", "--out", "json"]) == 0
+            payload = json.loads(capsys.readouterr().out)
+            assert payload["lower_bound"] <= brute_force_mbd(graph)[0] <= payload["k"]
 
 
 class TestExact:

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import importlib
 import random
 
 import pytest
@@ -25,11 +26,14 @@ from refnet.sga import (
     sga_vc,
     switch_set_from_forest,
 )
+from refnet.exact import vertex_cover
 from refnet.signed_graph import (
     SignedGraph,
     induced_subgraph,
     is_balanced,
 )
+
+sga_module = importlib.import_module("refnet.sga")
 
 
 def fig_graph() -> SignedGraph:
@@ -357,6 +361,39 @@ class TestSgaVc:
         g = SignedGraph.from_edges(2, [(0, 1, 1), (0, 1, -1)])
         with pytest.raises(CoverBudgetError):
             sga_vc(g, "DFS", vc_budget=0)
+
+    def test_matching_above_budget_raises_without_a_search(self, monkeypatch):
+        # Two disjoint +/- pairs survive every switch: a matching of size 2.
+        sizes = []
+        monkeypatch.setattr(sga_module, "vertex_cover", lambda adj, size: sizes.append(size))
+        g = SignedGraph.from_edges(4, [(0, 1, 1), (0, 1, -1), (2, 3, 1), (2, 3, -1)])
+        with pytest.raises(CoverBudgetError):
+            sga_vc(g, "DFS", vc_budget=1)
+        assert sizes == []
+
+    def test_sweep_starts_at_a_matching_and_ends_at_the_minimum(self, monkeypatch):
+        calls: list[tuple[list[list[int]], int]] = []
+
+        def recording(adjacency, size):
+            calls.append((adjacency, size))
+            return vertex_cover(adjacency, size)
+
+        monkeypatch.setattr(sga_module, "vertex_cover", recording)
+        rng = random.Random(32)
+        skipped = 0
+        for trial in range(80):
+            g = random_signed_graph(rng, n_max=16)
+            calls.clear()
+            sga_vc(g, "DFS", random.Random(trial))
+            adjacency = calls[0][0]
+            sizes = [size for _, size in calls]
+            assert all(a is adjacency for a, _ in calls)
+            assert sizes == list(range(sizes[0], sizes[-1] + 1))
+            # The sweep ends at the minimum cover size, as one from zero would.
+            assert sizes[-1] == 0 or vertex_cover(adjacency, sizes[-1] - 1) is None
+            assert (sizes[0] > 0) == any(adjacency)
+            skipped += sizes[0]
+        assert skipped > 40
 
 
 def test_negative_structure_matches_public_pipeline():

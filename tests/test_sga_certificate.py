@@ -97,6 +97,39 @@ def test_sga_repeat_matches_reference(strategy, repeats):
 
 
 @pytest.mark.parametrize("strategy", ["RS", "BFS", "DFS"])
+def test_early_stop_matches_every_pass(strategy, monkeypatch):
+    # The reference runs all 80 passes; sga_repeat stops once its best k
+    # meets the disjoint-cycle bound, and must report the same result.
+    calls = 0
+    plain = sga_module.sga
+
+    def counting(*args):
+        nonlocal calls
+        calls += 1
+        return plain(*args)
+
+    monkeypatch.setattr(sga_module, "sga", counting)
+    graphs = GRAPHS[::3]
+    stopped = 0
+    for seed, graph in enumerate(graphs):
+        expected = reference_sga_repeat(graph, 80, strategy, seed)
+        calls = 0
+        result = sga_repeat(graph, 80, strategy, seed)
+        assert outcome(result) == outcome(expected)
+        assert result.repeats == 80
+        stopped += calls < 80
+    assert stopped > len(graphs) // 2
+
+
+def test_best_k_below_the_bound_raises(monkeypatch):
+    # A bound above what a certified pass achieves contradicts the bound.
+    triangle = SignedGraph.from_edges(3, [(0, 1, -1), (1, 2, -1), (0, 2, -1)])
+    monkeypatch.setattr(sga_module, "disjoint_unbalanced_cycles", lambda graph: ((),) * 2)
+    with pytest.raises(RuntimeError, match="disjoint unbalanced cycles"):
+        sga_repeat(triangle, 80, "DFS", 1)
+
+
+@pytest.mark.parametrize("strategy", ["RS", "BFS", "DFS"])
 def test_sga_vc_matches_reference(strategy):
     for seed, graph in enumerate(GRAPHS):
         expected = reference_sga_vc(graph, strategy, random.Random(seed))
@@ -209,11 +242,14 @@ class TestPerPassCheck:
         assert min(outcomes.values()) > 30
 
     def test_final_certificate_checks_the_reported_set(self, monkeypatch):
+        # The stub's k=0 meets any bound, so the loop stops after one pass;
+        # the certificate must still refuse what it reports.
         triangle = SignedGraph.from_edges(3, [(0, 1, -1), (1, 2, -1), (0, 2, -1)])
         whole = HeuristicResult((0, 1, 2), 0, frozenset(), "DFS", 1, None, 0.0)
         monkeypatch.setattr(sga_module, "sga", lambda *args: whole)
-        with pytest.raises(RuntimeError, match="balanced"):
-            sga_repeat(triangle, 2, "DFS", 1)
+        for repeats in (2, 80):
+            with pytest.raises(RuntimeError, match="balanced"):
+                sga_repeat(triangle, repeats, "DFS", 1)
 
 
 OPTIMIZED_SCRIPT = """
@@ -230,6 +266,7 @@ calls = {
     "sga": lambda: sga(triangle, "DFS"),
     "sga_vc": lambda: sga_vc(triangle, "DFS"),
     "sga_repeat": lambda: sga_repeat(triangle, 3, "DFS", 1),
+    "sga_repeat_80": lambda: sga_repeat(triangle, 80, "DFS", 1),
 }
 out = {"debug": __debug__}
 for name, call in calls.items():
@@ -240,11 +277,12 @@ for name, call in calls.items():
         out[name] = [type(exc).__name__, str(exc)]
 # The final certificate alone: a pass that reports the whole triangle.
 module.sga = lambda *args: HeuristicResult((0, 1, 2), 0, frozenset(), "DFS", 1, None, 0.0)
-try:
-    sga_repeat(triangle, 2, "DFS", 1)
-    out["final"] = None
-except Exception as exc:
-    out["final"] = [type(exc).__name__, str(exc)]
+for repeats in (2, 80):
+    try:
+        sga_repeat(triangle, repeats, "DFS", 1)
+        out[f"final_{repeats}"] = None
+    except Exception as exc:
+        out[f"final_{repeats}"] = [type(exc).__name__, str(exc)]
 print(json.dumps(out))
 """
 
@@ -259,6 +297,7 @@ def test_checks_survive_python_O():
     assert proc.returncode == 0, proc.stderr
     out = json.loads(proc.stdout)
     assert out.pop("debug") is False
+    assert set(out) == {"sga", "sga_vc", "sga_repeat", "sga_repeat_80", "final_2", "final_80"}
     for name, error in out.items():
         assert error is not None, f"{name} reported an unbalanced set"
         kind, message = error

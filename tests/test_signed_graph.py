@@ -11,12 +11,14 @@ from helpers import (
     matrix_realizing,
     negative_subgraph,
     odd_negative_count,
+    planted_graph,
     random_balanced_graph,
     random_matrix,
     random_signed_graph,
     reference_induced_subgraph,
     switch,
 )
+from refnet.exact import brute_force_mbd, mbd_exact
 from refnet.matrix_io import SparseMatrix, is_network_matrix
 from refnet.signed_graph import (
     NEG,
@@ -24,6 +26,7 @@ from refnet.signed_graph import (
     NotBalancedError,
     SignedGraph,
     build_signed_graph,
+    disjoint_unbalanced_cycles,
     extract_network,
     induced_subgraph,
     is_balanced,
@@ -190,6 +193,76 @@ class TestIsBalanced:
             g = random_signed_graph(rng)
             w = {v for v in range(g.n) if rng.random() < 0.5}
             assert is_balanced(g).balanced == is_balanced(switch(g, w)).balanced
+
+
+class TestDisjointUnbalancedCycles:
+    @staticmethod
+    def graphs():
+        # Up to the oracle's 24 vertices, sparse enough that it stays fast,
+        # with +/- pairs and isolated vertices.
+        rng = random.Random(16)
+        out = []
+        for _ in range(150):
+            n = rng.randint(1, 24)
+            out.append(random_signed_graph(rng, n_max=n, n_min=n, p_edge=2.4 / n, p_parallel=0.1))
+        return out
+
+    @staticmethod
+    def check_cycles(graph, cycles):
+        seen: set[int] = set()
+        for cycle in cycles:
+            assert is_closed_walk(cycle)
+            assert cycle_vertices_distinct(cycle)
+            assert odd_negative_count(cycle)
+            for a, b, s in cycle:
+                assert edge_in_graph(graph, a, b, s)
+            verts = {a for a, _, _ in cycle}
+            assert not verts & seen  # pairwise vertex-disjoint
+            seen |= verts
+
+    def test_example(self):
+        # A +/- pair and two negative triangles, one sharing a vertex with the pair.
+        g = SignedGraph.from_edges(
+            9,
+            [(0, 1, 1), (0, 1, -1), (1, 2, -1), (2, 3, -1), (1, 3, -1),
+             (4, 5, -1), (5, 6, -1), (4, 6, -1), (6, 7, 1)],
+        )
+        cycles = disjoint_unbalanced_cycles(g)
+        assert cycles == (((0, 1, 1), (1, 0, -1)), ((6, 4, -1), (4, 5, -1), (5, 6, -1)))
+        self.check_cycles(g, cycles)
+
+    def test_at_most_the_oracle_optimum(self):
+        graphs = self.graphs()
+        assert any(3 in masks for g in graphs for masks in g.masks)  # a +/- pair
+        assert any(not nb for g in graphs for nb in g.neighbors)  # an isolated vertex
+        tight = 0
+        for g in graphs:
+            cycles = disjoint_unbalanced_cycles(g)
+            self.check_cycles(g, cycles)
+            optimum = brute_force_mbd(g)[0]
+            assert len(cycles) <= optimum
+            tight += len(cycles) == optimum
+        assert tight > len(graphs) // 2
+
+    def test_at_most_the_exact_optimum_on_planted_graphs(self):
+        rng = random.Random(17)
+        for _ in range(20):
+            n = rng.randint(30, 120)
+            g = planted_graph(rng, n, n_edges=2 * n, n_bad=rng.randint(1, 6), sabotage=6)
+            cycles = disjoint_unbalanced_cycles(g)
+            self.check_cycles(g, cycles)
+            assert len(cycles) <= mbd_exact(g).k
+
+    def test_empty_exactly_on_balanced_graphs(self):
+        rng = random.Random(18)
+        graphs = self.graphs() + [random_balanced_graph(rng, n_max=20) for _ in range(60)]
+        graphs.append(SignedGraph(0, (), (), ()))
+        outcomes = {True: 0, False: 0}
+        for g in graphs:
+            balanced = is_balanced(g).balanced
+            assert (disjoint_unbalanced_cycles(g) == ()) == balanced
+            outcomes[balanced] += 1
+        assert min(outcomes.values()) > 30
 
 
 class TestNegativeSubgraph:

@@ -7,7 +7,7 @@ constraint matrices (MPS or coordinate files), scales them to maximise the
 number of (0,±1)-rows, and then searches for the largest row subset forming a
 reflected network -- heuristically (spanning-forest heuristics with optional
 repetition and an exact-vertex-cover variant) and exactly (a fixed-parameter
-solver built on odd cycle transversals and iterative compression).
+solver that runs iterative compression on the signed graph itself).
 """
 
 from refnet.matrix_io import (
@@ -48,11 +48,9 @@ from refnet.exact import (
     DeletionBudgetError,
     ExactResult,
     OperationCancelled,
-    SubdividedGraph,
     brute_force_mbd,
     mbd_exact,
     odd_cycle_transversal,
-    subdivide_positive,
     vertex_cover,
 )
 
@@ -90,10 +88,8 @@ __all__ = [
     "DeletionBudgetError",
     "ExactResult",
     "OperationCancelled",
-    "SubdividedGraph",
     "brute_force_mbd",
     "mbd_exact",
     "odd_cycle_transversal",
-    "subdivide_positive",
     "vertex_cover",
 ]

@@ -1,26 +1,26 @@
 """Exact fixed-parameter solvers: balanced deletion, bipartization, vertex cover.
 
 The minimum balanced deletion question -- fewest vertices whose removal
-leaves a balanced signed graph -- reduces to graph bipartization: subdivide
-every positive edge with a fresh vertex and ask for an odd cycle transversal
-of the resulting plain graph.  A transversal avoiding the subdivision
-vertices deletes the same rows; one that uses a subdivision vertex can
-always swap it for an endpoint of its edge.
+leaves a balanced signed graph -- is solved on the signed graph itself.  A
+signed graph is balanced when its vertices can be labelled 0/1 so that a
+positive edge (parity 0) joins equal labels and a negative one (parity 1)
+unequal labels; graph bipartization is the case where every edge has parity
+1, so :func:`odd_cycle_transversal` runs the same solver.
 
-Bipartization itself is solved by iterative compression: vertices are
-inserted one at a time (ascending, for reproducibility) while a transversal
-of size at most a budget is maintained; when it overflows to budget + 1 the
-compression step searches the ways to split the current transversal into
-deleted / left-side / right-side vertices, rejects splits with a same-side
-edge, and asks whether few enough remaining vertices separate the would-be-
-left from the would-be-right attachment points -- a vertex separator problem
-handed to :mod:`refnet.flow`.
+It works by iterative compression (Hüffner, "Algorithm Engineering for
+Optimal Graph Bipartization", JGAA 13(2), 2009): vertices are inserted one at
+a time (ascending, for reproducibility) while a transversal of size at most a
+budget is maintained; when it overflows to budget + 1 the compression step
+searches the ways to split the current transversal into deleted / side-0 /
+side-1 vertices, rejects splits with a kept pair whose sides do not differ
+by its edge parity, and asks whether few enough remaining vertices separate
+those whose reference label must stay from those whose label must flip -- a
+vertex separator problem handed to :mod:`refnet.flow`.
 
 The splits form a tree that decides one transversal vertex per level.  Going
 down it, kept vertices only add terminals and a deleted one only lowers the
 separator budget, so each search node continues its parent's maximum flow
-from where it stopped (Hüffner, "Algorithm Engineering for Optimal Graph
-Bipartization", JGAA 13(2), 2009, reuses flows between splits the same way)
+from where it stopped (Hüffner reuses flows between splits the same way)
 and prunes its subtree once that flow exceeds the budget left: no split
 below it can succeed.  Leaves are still visited in the fixed order of the
 full enumeration, so the first feasible split is the same one; in the worst
@@ -95,6 +95,8 @@ class CancelToken:
 class SubdividedGraph:
     """Plain graph with every positive edge of a signed graph subdivided.
 
+    The solver does not use it: it stays as the tests' reference reduction,
+    and the benchmark's tracer looks :func:`subdivide_positive` up by name.
     Original vertices keep their ids; subdivision vertices are appended and
     tagged in ``origin`` with the (u, v) pair of the positive edge they
     split (originals are tagged with their own id).  A +/- parallel pair
@@ -128,7 +130,7 @@ class ExactResult:
 
 
 def subdivide_positive(graph: SignedGraph) -> SubdividedGraph:
-    """Subdivide each positive edge; negative edges carry over unchanged."""
+    """Subdivide each positive edge; negative edges carry over (test reference)."""
     adjacency: list[list[int]] = [[] for _ in range(graph.n)]
     origin: list[int | tuple[int, int]] = list(range(graph.n))
     for u in range(graph.n):
@@ -152,7 +154,7 @@ def subdivide_positive(graph: SignedGraph) -> SubdividedGraph:
 
 
 class _ParityDSU:
-    """Union-find with edge parities; detects odd cycles incrementally."""
+    """Union-find with edge parities; detects unbalanced cycles incrementally."""
 
     __slots__ = ("parent", "rank", "parity")
 
@@ -202,7 +204,7 @@ def _set_bits(mask: int) -> list[int]:
 
 
 def _compress_transversal(
-    adjacency: Sequence[Sequence[int]],
+    adjacency: Sequence[Sequence[tuple[int, int]]],
     upto: int,
     transversal: Sequence[int],
     budget: int,
@@ -212,8 +214,9 @@ def _compress_transversal(
     """Replace a size-(budget+1) transversal of the first ``upto`` vertices
     by one of size <= budget, or report that none exists.
 
-    Depth-first branch and bound over the splits; ``stats["splits"]`` counts
-    the search nodes examined.  ``cancel`` is polled every 64 flow runs.
+    Depth-first branch and bound over the splits of a signed adjacency;
+    ``stats["splits"]`` counts the search nodes examined.  ``cancel`` is
+    polled every 64 flow runs.
     """
     xs = sorted(transversal)
     x_set = set(xs)
@@ -222,12 +225,12 @@ def _compress_transversal(
     n_rest = len(rest)
 
     rest_adj = [
-        [rest_index[u] for u in adjacency[v] if u < upto and u not in x_set]
+        [(rest_index[u], p) for u, p in adjacency[v] if u < upto and u not in x_set]
         for v in rest
     ]
 
-    # Reference 2-coloring of the transversal-free part (bipartite by the
-    # compression invariant).
+    # Reference labelling of the transversal-free part (balanced by the
+    # compression invariant): a parity-p edge joins labels that differ by p.
     color = [0] * n_rest
     seen = [False] * n_rest
     for start in range(n_rest):
@@ -239,48 +242,43 @@ def _compress_transversal(
         while qi < len(queue):
             x = queue[qi]
             qi += 1
-            for y in rest_adj[x]:
+            for y, p in rest_adj[x]:
                 if not seen[y]:
                     seen[y] = True
-                    color[y] = color[x] ^ 1
+                    color[y] = color[x] ^ p
                     queue.append(y)
-                elif color[y] == color[x]:
+                elif color[y] != color[x] ^ p:
                     raise RuntimeError("transversal invariant broken")
-    color_mask = 0
-    for i, c in enumerate(color):
-        if c:
-            color_mask |= 1 << i
-    full_mask = (1 << n_rest) - 1
+    color_mask = sum(1 << i for i, c in enumerate(color) if c)
+    not_color = ((1 << n_rest) - 1) ^ color_mask
 
-    # Per transversal vertex: bitmask of its neighbors outside the
-    # transversal, and the already-listed transversal neighbors for the
-    # same-side pruning check.
-    rest_nbr_mask = []
+    # Keeping x on side s asks label s ^ p of its neighbour over a parity-p
+    # edge outside the transversal: a neighbour whose reference label already
+    # matches is a ref terminal, any other must flip.  Side 1 mirrors side 0,
+    # and a +/- neighbour lands in both sets, so it must be cut.  Transversal
+    # neighbours listed before x are kept for the kept-pair check, which a
+    # DROP never fails: DROP ^ value ^ p is never 1.
     x_pos = {x: i for i, x in enumerate(xs)}
-    x_nbrs: list[list[int]] = [[] for _ in xs]
+    x_nbrs: list[list[tuple[int, int]]] = [[] for _ in xs]
+    side_terminals = []
     for i, x in enumerate(xs):
-        m = 0
-        for u in adjacency[x]:
+        even = odd = 0
+        for u, p in adjacency[x]:
             if u >= upto:
                 continue
             if u in x_set:
                 j = x_pos[u]
                 if j < i:
-                    x_nbrs[i].append(j)
+                    x_nbrs[i].append((j, p))
+            elif p:
+                odd |= 1 << rest_index[u]
             else:
-                m |= 1 << rest_index[u]
-        rest_nbr_mask.append(m)
+                even |= 1 << rest_index[u]
+        ref = odd & color_mask | even & not_color
+        flip = odd & not_color | even & color_mask
+        side_terminals.append(((ref, flip), (flip, ref)))
 
-    # Keeping x on side A puts its neighbors outside the transversal on
-    # side B: those of reference color 1 keep their color (terminals_ref),
-    # those of color 0 must flip (terminals_flip).  Side B mirrors this.
-    not_color = full_mask ^ color_mask
-    side_terminals = [
-        ((m & color_mask, m & not_color), (m & not_color, m & color_mask))
-        for m in rest_nbr_mask
-    ]
-
-    solver = SeparatorSolver(n_rest, rest_adj)
+    solver = SeparatorSolver(n_rest, [[y for y, _ in nbrs] for nbrs in rest_adj])
     q = len(xs)
     SIDE_A, SIDE_B, DROP = 0, 1, 2
     assign = [0] * q
@@ -327,8 +325,8 @@ def _compress_transversal(
                 assign[i] = DROP
                 found = search(i + 1, ref, flip, dropped + 1, residual, cut, False)
             else:
-                if any(assign[j] == value for j in x_nbrs[i]):
-                    continue  # same-side edge inside the kept transversal
+                if any(assign[j] ^ value ^ p == 1 for j, p in x_nbrs[i]):
+                    continue  # a kept pair's sides must differ by its parity
                 assign[i] = value
                 add_ref, add_flip = side_terminals[i][value]
                 found = search(
@@ -342,27 +340,20 @@ def _compress_transversal(
     return search(0, 0, 0, 0, solver.residual(), [], False)
 
 
-def odd_cycle_transversal(
-    adjacency: Sequence[Sequence[int]],
+def _balancing_transversal(
+    adjacency: Sequence[Sequence[tuple[int, int]]],
     k: int,
-    cancel: CancelToken | None = None,
-    stats: dict | None = None,
+    cancel: CancelToken | None,
+    stats: dict,
 ) -> set[int] | None:
-    """Minimum vertex set whose removal makes the graph bipartite, if <= k.
+    """Minimum vertex set whose removal balances a signed adjacency, if <= k.
 
-    Returns None when every such set is larger than k ("no" is a value, not
-    an error).  One pass of iterative compression over vertices in ascending
-    order; a parity union-find tracks bipartiteness of the transversal-free
-    part between compressions.  The budget starts at zero and rises by one
-    each time a compression fails; ``stats["lower_bound"]`` holds it, a
-    proven lower bound on the optimum, also after cancellation.  ``cancel``
-    is polled during insertion and inside compression; expiry raises
-    :class:`OperationCancelled`.
+    ``adjacency[v]`` lists ``(u, p)`` pairs, p the edge parity; a +/- pair is
+    listed once with each parity.  One pass of iterative compression over
+    vertices in ascending order; a parity union-find tracks balance of the
+    transversal-free part between compressions.  The budget rises by one
+    each time a compression fails; ``stats["lower_bound"]`` holds it.
     """
-    if k < 0:
-        raise ValueError("k must be non-negative")
-    if stats is None:
-        stats = {}
     budget = stats["lower_bound"] = 0
     n = len(adjacency)
     in_transversal = [False] * n
@@ -375,24 +366,22 @@ def odd_cycle_transversal(
         for v in range(upto):
             if in_transversal[v]:
                 continue
-            for u in adjacency[v]:
-                if u < v and not in_transversal[u] and not dsu.union(u, v, 1):
-                    raise RuntimeError("compressed transversal must leave a bipartite graph")
+            for u, p in adjacency[v]:
+                if u < v and not in_transversal[u] and not dsu.union(u, v, p):
+                    raise RuntimeError("compressed transversal must leave a balanced graph")
 
     for v in range(n):
         if cancel is not None and cancel.expired():
             raise OperationCancelled
-        incident = [u for u in adjacency[v] if u < v and not in_transversal[u]]
-        parity_of_root: dict[int, int] = {}
-        conflict = False
-        for u in incident:
+        incident = [(u, p) for u, p in adjacency[v] if u < v and not in_transversal[u]]
+        label_of_root: dict[int, int] = {}
+        for u, p in incident:
             root, parity = dsu.find(u)
-            if parity_of_root.setdefault(root, parity) != parity:
-                conflict = True
-                break
-        if not conflict:
-            for u in incident:
-                dsu.union(v, u, 1)
+            if label_of_root.setdefault(root, parity ^ p) != parity ^ p:
+                break  # v closes an unbalanced cycle
+        else:
+            for u, p in incident:
+                dsu.union(v, u, p)
             continue
         transversal.append(v)
         in_transversal[v] = True
@@ -409,12 +398,30 @@ def odd_cycle_transversal(
                 return None
             continue
         transversal = sorted(compressed)
-        for w in range(n):
-            in_transversal[w] = False
-        for w in transversal:
-            in_transversal[w] = True
+        in_transversal = [w in compressed for w in range(n)]
         rebuild(v + 1)
     return set(transversal)
+
+
+def odd_cycle_transversal(
+    adjacency: Sequence[Sequence[int]],
+    k: int,
+    cancel: CancelToken | None = None,
+    stats: dict | None = None,
+) -> set[int] | None:
+    """Minimum vertex set whose removal makes the graph bipartite, if <= k.
+
+    Returns None when every such set is larger than k ("no" is a value, not
+    an error).  This is the compression pass of :func:`mbd_exact` with every
+    edge of parity 1.  ``stats["lower_bound"]`` holds the budget reached, a
+    proven lower bound on the optimum, also after cancellation.  ``cancel``
+    is polled during insertion and inside compression; expiry raises
+    :class:`OperationCancelled`.
+    """
+    if k < 0:
+        raise ValueError("k must be non-negative")
+    signed = [[(u, 1) for u in nbrs] for nbrs in adjacency]
+    return _balancing_transversal(signed, k, cancel, {} if stats is None else stats)
 
 
 def mbd_exact(
@@ -422,21 +429,24 @@ def mbd_exact(
     k_max: int | None = None,
     cancel: CancelToken | None = None,
 ) -> ExactResult:
-    """Minimum balanced deletion by one growing-budget bipartization pass.
+    """Minimum balanced deletion by one growing-budget compression pass.
 
-    The subdivided graph is handed once to :func:`odd_cycle_transversal`
-    with ``k_max`` (default: the vertex count) as its cap; subdivision
-    vertices in the answer are replaced by the lower endpoint of their edge
-    and the result is re-verified against the signed graph.  Cancellation
-    yields a "timeout" result carrying the proven lower bound; exhausting
-    ``k_max`` raises :class:`DeletionBudgetError`.
+    The signed adjacency (positive edges of parity 0, negative of parity 1)
+    is compressed with ``k_max`` (default: the vertex count) as its cap, and
+    the deletion is re-verified against the graph.  Cancellation yields a
+    "timeout" result carrying the proven lower bound; exhausting ``k_max``
+    raises :class:`DeletionBudgetError`.
     """
     started = time.perf_counter()
-    subdivided = subdivide_positive(graph)
+    adjacency = [
+        [(u, p) for u, m in zip(graph.neighbors[v], graph.masks[v])
+         for p, bit in ((0, POS), (1, NEG)) if m & bit]
+        for v in range(graph.n)
+    ]
     cap = graph.n if k_max is None else k_max
     stats: dict = {}
     try:
-        solution = odd_cycle_transversal(subdivided.adjacency, cap, cancel, stats)
+        deletion = _balancing_transversal(adjacency, cap, cancel, stats)
     except OperationCancelled:
         return ExactResult(
             status="timeout",
@@ -446,20 +456,13 @@ def mbd_exact(
             elapsed=time.perf_counter() - started,
             nodes_explored=stats.get("splits", 0),
         )
-    if solution is None:
+    if deletion is None:
         raise DeletionBudgetError(
             f"no balanced deletion of size <= {cap} exists (cap was k_max)"
         )
-    deletion = set()
-    for w in solution:
-        tag = subdivided.origin[w]
-        deletion.add(tag if isinstance(tag, int) else tag[0])
     kept = [u for u in range(graph.n) if u not in deletion]
     if not is_balanced(induced_subgraph(graph, kept)).balanced:
-        raise RuntimeError(
-            "endpoint replacement left the graph unbalanced; the subdivision "
-            "correspondence was violated"
-        )
+        raise RuntimeError("the compressed deletion left the graph unbalanced")
     return ExactResult(
         status="optimal",
         deletion=frozenset(deletion),

@@ -30,7 +30,7 @@ from refnet.exact import (
     subdivide_positive,
     vertex_cover,
 )
-from refnet.signed_graph import SignedGraph, induced_subgraph, is_balanced
+from refnet.signed_graph import NEG, POS, SignedGraph, induced_subgraph, is_balanced
 
 
 def fig_graph() -> SignedGraph:
@@ -75,6 +75,8 @@ from refnet import exact
 from refnet.flow import SeparatorSolver
 
 triangle = [[1, 2], [0, 2], [0, 1]]
+signed_triangle = [[(u, 1) for u in nbrs] for nbrs in triangle]
+plus_minus_pair = [[(1, 0), (1, 1)], [(0, 0), (0, 1)]]
 
 def run(call):
     try:
@@ -91,8 +93,10 @@ def false_flow():
 
 out = {
     "debug": __debug__,
-    # An empty transversal leaves the triangle for the reference coloring.
-    "coloring": run(lambda: exact._compress_transversal(triangle, 3, [], 0, None, {})),
+    # An empty transversal leaves the triangle, or a +/- pair, for the
+    # reference labelling.
+    "coloring": run(lambda: exact._compress_transversal(signed_triangle, 3, [], 0, None, {})),
+    "pair": run(lambda: exact._compress_transversal(plus_minus_pair, 2, [], 0, None, {})),
     "separator": run(false_flow),
 }
 exact._compress_transversal = lambda *args: set()
@@ -113,8 +117,9 @@ def test_invariant_checks_survive_python_O():
     assert out.pop("debug") is False
     assert out == {
         "coloring": ["RuntimeError", "transversal invariant broken"],
+        "pair": ["RuntimeError", "transversal invariant broken"],
         "separator": ["RuntimeError", "separator size differs from the maximum flow"],
-        "compression": ["RuntimeError", "compressed transversal must leave a bipartite graph"],
+        "compression": ["RuntimeError", "compressed transversal must leave a balanced graph"],
     }
 
 
@@ -282,6 +287,22 @@ class TestMbdExact:
                 continue
             assert brute_force_mbd(g)[0] == brute_force_oct(sub.adjacency)[0]
 
+    def test_matches_subdivided_bipartization_above_brute_force_limit(self):
+        # beyond the 24-vertex oracle and without scipy: the signed solver
+        # agrees with plain bipartization of the subdivided graph, on planted
+        # graphs and on random ones where many pairs carry both signs
+        rng = random.Random(62)
+        graphs = []
+        for _ in range(10):
+            n = rng.randint(30, 80)
+            graphs.append(planted_graph(rng, n, n_edges=2 * n, n_bad=rng.randint(1, 6), sabotage=6))
+        for _ in range(10):
+            graphs.append(random_signed_graph(rng, n_max=40, p_edge=0.08, p_parallel=0.4, n_min=25))
+        assert sum(m == POS | NEG for g in graphs for _, _, m in g.pairs) > 50
+        for g in graphs:
+            sub = subdivide_positive(g)
+            assert mbd_exact(g).k == len(odd_cycle_transversal(sub.adjacency, sub.n))
+
     def test_timeout_result(self):
         token = CancelToken()
         token.cancel()
@@ -291,7 +312,7 @@ class TestMbdExact:
         assert result.lower_bound == 0
 
     def test_timeout_mid_run_reports_proven_lower_bound(self):
-        # all-negative K8: subdivision leaves K8 itself, optimum 6
+        # all-negative K8: balancing it is bipartizing K8, optimum 6
         g = SignedGraph.from_edges(8, [(u, v, -1) for u, v in itertools.combinations(range(8), 2)])
         assert brute_force_mbd(g)[0] == 6
         result = mbd_exact(g, cancel=CancelAfter(6))

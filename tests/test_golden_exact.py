@@ -58,7 +58,7 @@ GOLDEN_PLANTED = {
     903: (2, '80eb36f8beab9f45'),
     904: (5, 'dee27476e15e4a53'),
     905: (5, '14c2dc5030d1ccf0'),
-    906: (5, '5f80558843ed7806'),
+    906: (5, '143fa7b9c2071383'),
     907: (3, '7b135899b5f21976'),
 }
 

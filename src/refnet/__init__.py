@@ -8,6 +8,11 @@ number of (0,±1)-rows, and then searches for the largest row subset forming a
 reflected network -- heuristically (spanning-forest heuristics with optional
 repetition and an exact-vertex-cover variant) and exactly (a fixed-parameter
 solver that runs iterative compression on the signed graph itself).
+
+The exact solver's names (``mbd_exact``, ``CancelToken`` and the rest of
+:mod:`refnet.exact`) are exported too, but load on first use: importing the
+package, or running a greedy heuristic, does not load the exact solver
+(``sga_vc`` does, for its vertex cover).
 """
 
 from refnet.matrix_io import (
@@ -43,18 +48,20 @@ from refnet.sga import (
     sga_vc,
     switch_set_from_forest,
 )
-from refnet.exact import (
-    CancelToken,
-    DeletionBudgetError,
-    ExactResult,
-    OperationCancelled,
-    brute_force_mbd,
-    mbd_exact,
-    odd_cycle_transversal,
-    vertex_cover,
-)
 
 __version__ = "0.1.0"
+
+# Served by __getattr__ below (PEP 562): refnet.exact loads on first use.
+_EXACT_NAMES = (
+    "CancelToken",
+    "DeletionBudgetError",
+    "ExactResult",
+    "OperationCancelled",
+    "brute_force_mbd",
+    "mbd_exact",
+    "odd_cycle_transversal",
+    "vertex_cover",
+)
 
 __all__ = [
     "MatrixFormatError",
@@ -84,12 +91,17 @@ __all__ = [
     "sga_repeat",
     "sga_vc",
     "switch_set_from_forest",
-    "CancelToken",
-    "DeletionBudgetError",
-    "ExactResult",
-    "OperationCancelled",
-    "brute_force_mbd",
-    "mbd_exact",
-    "odd_cycle_transversal",
-    "vertex_cover",
+    *_EXACT_NAMES,
 ]
+
+
+def __getattr__(name: str):
+    if name in _EXACT_NAMES:
+        from refnet import exact
+
+        return getattr(exact, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_EXACT_NAMES})

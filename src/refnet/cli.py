@@ -20,20 +20,20 @@ input files and out-of-range options, 3 for I/O errors.
 from __future__ import annotations
 
 import argparse
-import csv
 import io
 import json
 import random
 import sys
-import traceback
-from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
-from refnet.exact import CancelToken, DeletionBudgetError, mbd_exact
 from refnet.matrix_io import MatrixFormatError, SparseMatrix, dump_coord, parse_coord, parse_mps
 from refnet.scaling import scale
 from refnet.sga import STRATEGIES, CoverBudgetError, sga_repeat, sga_vc
 from refnet.signed_graph import SignedGraph, build_signed_graph, disjoint_unbalanced_cycles
+
+# The exact solver, csv and traceback are imported inside the commands that
+# use them, so `refnet extract` starts without loading them.
 
 _SERIES = (("SGA", 1), ("SGA3", 3), ("SGA80", 80))
 _HEUR_COLUMNS = [f"{series}_{strat}" for series, _ in _SERIES for strat in STRATEGIES]
@@ -70,6 +70,8 @@ def _emit(payload: dict, out_format: str, stream) -> None:
         json.dump(payload, stream, indent=2)
         stream.write("\n")
     elif out_format == "csv":
+        import csv
+
         writer = csv.writer(stream)
         keys = list(payload)
         writer.writerow(keys)
@@ -122,6 +124,8 @@ def cmd_extract(args: argparse.Namespace) -> int:
 
 
 def cmd_exact(args: argparse.Namespace) -> int:
+    from refnet.exact import CancelToken, DeletionBudgetError, mbd_exact
+
     path = Path(args.file)
     matrix, graph = _prepare(path, args.format, args.no_scaling)
     token = CancelToken.after(args.timeout)
@@ -175,9 +179,11 @@ def cmd_scale(args: argparse.Namespace) -> int:
     return 0
 
 
-@dataclass
-class BenchRecord:
-    """One benchmark row: exact result plus all nine heuristic ks."""
+class BenchRecord(NamedTuple):
+    """One benchmark row: exact result plus all nine heuristic ks.
+
+    ``heuristic`` holds the ks in ``_HEUR_COLUMNS`` order.
+    """
 
     instance: str
     n: int
@@ -186,7 +192,7 @@ class BenchRecord:
     k_exact: int | None = None
     t_exact: float | None = None
     timed_out: bool = False
-    heuristic: dict | None = None
+    heuristic: tuple[int, ...] | None = None
     t_single: float | None = None
     error: str = ""
 
@@ -194,39 +200,41 @@ class BenchRecord:
 def _bench_one(path_str: str, seed: int, timeout: float, no_scaling: bool) -> BenchRecord:
     import statistics
 
+    from refnet.exact import CancelToken, mbd_exact
+
     path = Path(path_str)
     n = 0
     try:
         _, graph = _prepare(path, "auto", no_scaling)
         n = graph.n
-        heuristic: dict = {}
+        heuristic: list[int] = []
         singles: list[float] = []
-        for series, repeats in _SERIES:
+        for _, repeats in _SERIES:
             for strategy in STRATEGIES:
                 result = sga_repeat(graph, repeats, strategy, seed)
-                heuristic[f"{series}_{strategy}"] = result.k
+                heuristic.append(result.k)
                 if repeats == 1:
                     singles.append(result.elapsed)
         exact = mbd_exact(graph, cancel=CancelToken.after(timeout))
     except (MatrixFormatError, OSError) as exc:
         return BenchRecord(path.stem, n, seed, "error", error=str(exc))
     except Exception as exc:  # one bad instance must not abort the whole run
+        import traceback
+
         traceback.print_exc(file=sys.stderr)
         return BenchRecord(path.stem, n, seed, "error", error=f"{type(exc).__name__}: {exc}")
-    record = BenchRecord(
+    timed_out = exact.status == "timeout"
+    return BenchRecord(
         instance=path.stem,
         n=n,
         seed=seed,
         status="ok",
-        heuristic=heuristic,
+        k_exact=None if timed_out else exact.k,
+        t_exact=None if timed_out else exact.elapsed,
+        timed_out=timed_out,
+        heuristic=tuple(heuristic),
         t_single=statistics.mean(singles),
     )
-    if exact.status == "timeout":
-        record.timed_out = True
-    else:
-        record.k_exact = exact.k
-        record.t_exact = exact.elapsed
-    return record
 
 
 def _fmt(value, digits: int = 2) -> str:
@@ -239,6 +247,7 @@ def _fmt(value, digits: int = 2) -> str:
 
 def _bench_csv(records: list[BenchRecord]) -> str:
     # statistics.mean keeps an integral mean an int, which _fmt prints bare.
+    import csv
     import statistics
 
     buf = io.StringIO()
@@ -259,7 +268,7 @@ def _bench_csv(records: list[BenchRecord]) -> str:
             [
                 rec.instance,
                 k_cell,
-                *[_fmt(rec.heuristic[c]) for c in _HEUR_COLUMNS],
+                *[_fmt(k) for k in rec.heuristic],
                 t_cell,
                 _fmt(rec.t_single, 4),
                 rec.n,
@@ -275,7 +284,7 @@ def _bench_csv(records: list[BenchRecord]) -> str:
         return _fmt(statistics.mean(values)) if values else ""
 
     average = ["Average", col_mean([r.k_exact for r in solved])]
-    for col in _HEUR_COLUMNS:
+    for col in range(len(_HEUR_COLUMNS)):
         average.append(col_mean([r.heuristic[col] for r in usable]))
     average.append(col_mean([r.t_exact for r in solved]))
     average.append(col_mean([r.t_single for r in usable]))
@@ -283,12 +292,12 @@ def _bench_csv(records: list[BenchRecord]) -> str:
 
     # Summary rows consider only instances with a known optimum.
     diff = ["Avg. diff.", _fmt(0.0) if solved else ""]
-    for col in _HEUR_COLUMNS:
+    for col in range(len(_HEUR_COLUMNS)):
         diff.append(col_mean([r.heuristic[col] - r.k_exact for r in solved]))
     writer.writerow([*diff, "", "", "", "", ""])
 
     exact_hits = ["# exact sol.", ""]
-    for col in _HEUR_COLUMNS:
+    for col in range(len(_HEUR_COLUMNS)):
         exact_hits.append(
             str(sum(1 for r in solved if r.heuristic[col] == r.k_exact)) if solved else ""
         )

@@ -40,8 +40,7 @@ from __future__ import annotations
 
 import itertools
 import time
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from refnet.flow import Residual, SeparatorSolver
 from refnet.signed_graph import (
@@ -91,8 +90,7 @@ class CancelToken:
         return False
 
 
-@dataclass(frozen=True)
-class SubdividedGraph:
+class SubdividedGraph(NamedTuple):
     """Plain graph with every positive edge of a signed graph subdivided.
 
     The solver does not use it: it stays as the tests' reference reduction,
@@ -108,8 +106,7 @@ class SubdividedGraph:
     origin: tuple[int | tuple[int, int], ...]
 
 
-@dataclass(frozen=True)
-class ExactResult:
+class ExactResult(NamedTuple):
     """Outcome of the exact balanced-deletion solver.
 
     ``status`` is "optimal" or "timeout".  On "optimal", removing
@@ -131,10 +128,11 @@ class ExactResult:
 
 def subdivide_positive(graph: SignedGraph) -> SubdividedGraph:
     """Subdivide each positive edge; negative edges carry over (test reference)."""
-    adjacency: list[list[int]] = [[] for _ in range(graph.n)]
-    origin: list[int | tuple[int, int]] = list(range(graph.n))
-    for u in range(graph.n):
-        for v, mask in zip(graph.neighbors[u], graph.masks[u]):
+    n, neighbors, masks = graph.n, graph.neighbors, graph.masks
+    adjacency: list[list[int]] = [[] for _ in range(n)]
+    origin: list[int | tuple[int, int]] = list(range(n))
+    for u in range(n):
+        for v, mask in zip(neighbors[u], masks[u]):
             if v <= u:
                 continue
             if mask & NEG:
@@ -438,8 +436,9 @@ def mbd_exact(
     raises :class:`DeletionBudgetError`.
     """
     started = time.perf_counter()
+    neighbors, masks = graph.neighbors, graph.masks
     adjacency = [
-        [(u, p) for u, m in zip(graph.neighbors[v], graph.masks[v])
+        [(u, p) for u, m in zip(neighbors[v], masks[v])
          for p, bit in ((0, POS), (1, NEG)) if m & bit]
         for v in range(graph.n)
     ]
@@ -556,8 +555,9 @@ _ORACLE_LIMIT = 24
 
 
 def _balanced_without(graph: SignedGraph, removed: set[int]) -> bool:
-    label: list[int | None] = [None] * graph.n
-    for start in range(graph.n):
+    n, neighbors, masks = graph.n, graph.neighbors, graph.masks
+    label: list[int | None] = [None] * n
+    for start in range(n):
         if start in removed or label[start] is not None:
             continue
         label[start] = 0
@@ -566,7 +566,7 @@ def _balanced_without(graph: SignedGraph, removed: set[int]) -> bool:
         while qi < len(queue):
             v = queue[qi]
             qi += 1
-            for u, mask in zip(graph.neighbors[v], graph.masks[v]):
+            for u, mask in zip(neighbors[v], masks[v]):
                 if u in removed:
                     continue
                 if mask == POS | NEG:

@@ -18,10 +18,9 @@ Two file formats are supported:
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 
 class MatrixFormatError(ValueError):
@@ -37,8 +36,17 @@ class MatrixFormatError(ValueError):
 Entry = tuple[int, int, Fraction]
 
 
-@dataclass(frozen=True)
-class SparseMatrix:
+# The fields alone: SparseMatrix adds the checks in __new__ and, through a
+# __dict__, the cached per-row and per-column lists.
+class _SparseMatrixFields(NamedTuple):
+    n_rows: int
+    n_cols: int
+    entries: tuple[Entry, ...]
+    row_names: tuple[str, ...] | None = None
+    col_names: tuple[str, ...] | None = None
+
+
+class SparseMatrix(_SparseMatrixFields):
     """Immutable sparse matrix over exact rationals.
 
     ``entries`` is strictly increasing in (row, col), so no (row, col) pair
@@ -48,18 +56,18 @@ class SparseMatrix:
     file so reports can name rows instead of numbering them.
     """
 
-    n_rows: int
-    n_cols: int
-    entries: tuple[Entry, ...]
-    row_names: tuple[str, ...] | None = None
-    col_names: tuple[str, ...] | None = None
-
-    def __post_init__(self):
+    def __new__(
+        cls,
+        n_rows: int,
+        n_cols: int,
+        entries: tuple[Entry, ...],
+        row_names: tuple[str, ...] | None = None,
+        col_names: tuple[str, ...] | None = None,
+    ) -> "SparseMatrix":
         # One linear pass: sortedness makes a repeated (row, col) adjacent,
         # and the flat index r * n_cols + c orders entries as (row, col) does.
-        n_rows, n_cols = self.n_rows, self.n_cols
         previous = -1
-        for r, c, v in self.entries:
+        for r, c, v in entries:
             if not (0 <= r < n_rows and 0 <= c < n_cols):
                 raise ValueError(f"entry ({r}, {c}) out of range")
             if not v:
@@ -70,10 +78,16 @@ class SparseMatrix:
                     raise ValueError(f"duplicate entry at ({r}, {c})")
                 raise ValueError(f"entry ({r}, {c}) out of (row, col) order")
             previous = index
-        if self.row_names is not None and len(self.row_names) != self.n_rows:
+        if row_names is not None and len(row_names) != n_rows:
             raise ValueError("row_names length mismatch")
-        if self.col_names is not None and len(self.col_names) != self.n_cols:
+        if col_names is not None and len(col_names) != n_cols:
             raise ValueError("col_names length mismatch")
+        return super().__new__(cls, n_rows, n_cols, entries, row_names, col_names)
+
+    @classmethod
+    def _make(cls, fields: Iterable) -> "SparseMatrix":
+        # The inherited _make, and _replace through it, would skip the checks.
+        return cls(*fields)
 
     @classmethod
     def from_entries(
@@ -133,9 +147,9 @@ class SparseMatrix:
             i = index_of.get(r)
             if i is not None:
                 entries.append((i, c, -v if r in flip_set else v))
-        names = None
-        if self.row_names is not None:
-            names = tuple(self.row_names[r] for r in rows)
+        names = self.row_names
+        if names is not None:
+            names = tuple([names[r] for r in rows])
         return SparseMatrix.from_entries(len(rows), self.n_cols, entries, names, self.col_names)
 
 

@@ -43,10 +43,8 @@ import random
 import time
 from bisect import bisect_left
 from collections import deque
-from dataclasses import dataclass, replace
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
-from refnet.exact import vertex_cover
 from refnet.signed_graph import (
     NEG,
     POS,
@@ -63,8 +61,7 @@ class CoverBudgetError(RuntimeError):
     """The exact-cover sweep exhausted its budget without finding a cover."""
 
 
-@dataclass(frozen=True)
-class SpanningForest:
+class SpanningForest(NamedTuple):
     """Rooted spanning forest with per-edge signs.
 
     ``parent[v]`` is -1 exactly for roots; ``parent_sign[v]`` is the sign of
@@ -87,8 +84,7 @@ class SpanningForest:
         )
 
 
-@dataclass(frozen=True)
-class HeuristicResult:
+class HeuristicResult(NamedTuple):
     """Outcome of one heuristic configuration.
 
     ``retained`` induces a balanced subgraph of the input graph; ``k`` is
@@ -155,12 +151,13 @@ def _ranked_neighbors(
     lists in turn, so no list is sorted; the identity order (``None``) is
     the graph's own ascending lists.  A bad ``order`` raises ValueError.
     """
+    neighbors = graph.neighbors
     if order is None:
-        return graph.neighbors
+        return neighbors
     _check_order(order, graph.n)
     ranked: list[list[int]] = [[] for _ in range(graph.n)]
     for v in order:
-        for u in graph.neighbors[v]:
+        for u in neighbors[v]:
             ranked[u].append(v)
     return ranked
 
@@ -198,12 +195,13 @@ def forest_rs(
     else:
         # The bucket pass of _ranked_neighbors, keeping the masks alongside.
         _check_order(order, n)
+        graph_neighbors, graph_masks = graph.neighbors, graph.masks
         rank = [0] * n
         neighbors = [[] for _ in range(n)]
         masks = [[] for _ in range(n)]
         for j, v in enumerate(order):
             rank[v] = j
-            for u, m in zip(graph.neighbors[v], graph.masks[v]):
+            for u, m in zip(graph_neighbors[v], graph_masks[v]):
                 neighbors[u].append(v)
                 masks[u].append(m)
     marked = [False] * n
@@ -316,19 +314,20 @@ def switch_set_from_forest(forest: SpanningForest) -> frozenset[int]:
 
     Switching this set renders every tree edge positive.
     """
-    parity: list[int | None] = [None] * forest.n
-    for v in range(forest.n):
+    n, parent, parent_sign = forest.n, forest.parent, forest.parent_sign
+    parity: list[int | None] = [None] * n
+    for v in range(n):
         chain = []
         x = v
-        while parity[x] is None and forest.parent[x] != -1:
+        while parity[x] is None and parent[x] != -1:
             chain.append(x)
-            x = forest.parent[x]
+            x = parent[x]
         if parity[x] is None:
             parity[x] = 0
         for y in reversed(chain):
-            flip = 1 if forest.parent_sign[y] == -1 else 0
-            parity[y] = parity[forest.parent[y]] ^ flip
-    return frozenset(v for v in range(forest.n) if parity[v] == 1)
+            flip = 1 if parent_sign[y] == -1 else 0
+            parity[y] = parity[parent[y]] ^ flip
+    return frozenset(v for v in range(n) if parity[v] == 1)
 
 
 def greedy_independent_set(adjacency: Sequence[Sequence[int]]) -> set[int]:
@@ -519,7 +518,7 @@ def permute_graph(graph: SignedGraph, order: Sequence[int]) -> SignedGraph:
     :class:`ValueError`.  The heuristic ranks vertices in place instead
     (the ``order`` of :func:`sga`); this copy is what such a pass equals.
     """
-    n = graph.n
+    n, graph_neighbors, graph_masks = graph.n, graph.neighbors, graph.masks
     _check_order(order, n)
     new_of_old = [0] * n
     for j, old in enumerate(order):
@@ -529,7 +528,7 @@ def permute_graph(graph: SignedGraph, order: Sequence[int]) -> SignedGraph:
     for old in order:
         # A mask fits in two bits, so one int sorts as the (id, mask) pair.
         keys = sorted(
-            [new_of_old[u] << 2 | m for u, m in zip(graph.neighbors[old], graph.masks[old])]
+            [new_of_old[u] << 2 | m for u, m in zip(graph_neighbors[old], graph_masks[old])]
         )
         neighbors.append(tuple([k >> 2 for k in keys]))
         masks.append(tuple([k & 3 for k in keys]))
@@ -572,7 +571,7 @@ def sga_repeat(
             rng.shuffle(order)
         result = sga(graph, strategy, rng, order)
         if best is None or len(result.retained) > len(best.retained):
-            best = replace(result, repeats=repeats, seed=seed)
+            best = result._replace(repeats=repeats, seed=seed)
         if i + 1 < repeats:
             if bound is None:
                 bound = len(disjoint_unbalanced_cycles(graph))
@@ -589,7 +588,7 @@ def sga_repeat(
             f"the best repetition drops {best.k} vertices, fewer than the"
             f" {bound} disjoint unbalanced cycles need; this indicates a bug"
         )
-    return replace(best, elapsed=time.perf_counter() - started)
+    return best._replace(elapsed=time.perf_counter() - started)
 
 
 def sga_vc(
@@ -609,6 +608,8 @@ def sga_vc(
     larger than it, raises :class:`CoverBudgetError` so callers can fall
     back to greedy.
     """
+    # Imported here: the exact solver loads only when a caller asks for it.
+    from refnet.exact import vertex_cover
 
     def cover_complement(adjacency: list[list[int]]) -> set[int]:
         budget = len(adjacency) if vc_budget is None else vc_budget

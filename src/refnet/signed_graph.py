@@ -17,9 +17,8 @@ reflected networks, and the balancing switch tells which rows to reflect;
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from refnet.matrix_io import SparseMatrix, classify_rows, is_network_matrix
 
@@ -37,8 +36,16 @@ class NotBalancedError(ValueError):
         super().__init__(message)
 
 
-@dataclass(frozen=True)
-class SignedGraph:
+# The fields alone: SignedGraph adds a __dict__, which holds the cached
+# pair list and unbalanced cycles.
+class _SignedGraphFields(NamedTuple):
+    n: int
+    tags: tuple[int, ...]
+    neighbors: tuple[tuple[int, ...], ...]
+    masks: tuple[tuple[int, ...], ...]
+
+
+class SignedGraph(_SignedGraphFields):
     """Immutable signed graph.
 
     ``neighbors[v]`` lists the distinct neighbors of v in ascending order and
@@ -47,11 +54,6 @@ class SignedGraph:
     row for graphs built from a matrix, the parent graph's vertex id for
     induced subgraphs.
     """
-
-    n: int
-    tags: tuple[int, ...]
-    neighbors: tuple[tuple[int, ...], ...]
-    masks: tuple[tuple[int, ...], ...]
 
     @classmethod
     def from_edges(
@@ -100,11 +102,12 @@ class SignedGraph:
 
         Built on first use and kept: every heuristic pass scans it.
         """
+        neighbors, masks = self.neighbors, self.masks
         return tuple(
             [
                 (u, v, m)
                 for u in range(self.n)
-                for v, m in zip(self.neighbors[u], self.masks[u])
+                for v, m in zip(neighbors[u], masks[u])
                 if v > u
             ]
         )
@@ -129,8 +132,13 @@ class SignedGraph:
         return len(self.neighbors[v])
 
 
-@dataclass(frozen=True)
-class BalanceCertificate:
+# The fields alone: BalanceCertificate adds the check in __new__.
+class _BalanceCertificateFields(NamedTuple):
+    switch_set: frozenset[int] | None = None
+    witness: tuple[SignedEdge, ...] | None = None
+
+
+class BalanceCertificate(_BalanceCertificateFields):
     """Outcome of a balance test: exactly one of the two fields is set.
 
     ``switch_set`` is a vertex set W whose switch removes every negative
@@ -138,12 +146,21 @@ class BalanceCertificate:
     with an odd number of negative edges.
     """
 
-    switch_set: frozenset[int] | None = None
-    witness: tuple[SignedEdge, ...] | None = None
+    __slots__ = ()
 
-    def __post_init__(self):
-        if (self.switch_set is None) == (self.witness is None):
+    def __new__(
+        cls,
+        switch_set: frozenset[int] | None = None,
+        witness: tuple[SignedEdge, ...] | None = None,
+    ) -> "BalanceCertificate":
+        if (switch_set is None) == (witness is None):
             raise ValueError("certificate must hold exactly one alternative")
+        return super().__new__(cls, switch_set, witness)
+
+    @classmethod
+    def _make(cls, fields: Iterable) -> "BalanceCertificate":
+        # The inherited _make, and _replace through it, would skip the check.
+        return cls(*fields)
 
     @property
     def balanced(self) -> bool:
@@ -225,7 +242,7 @@ def is_balanced(graph: SignedGraph) -> BalanceCertificate:
     parallel +/- pair always conflicts.  On success the switch set is the
     set of vertices labelled 1; switching it removes all negative edges.
     """
-    n = graph.n
+    n, neighbors, masks = graph.n, graph.neighbors, graph.masks
     label: list[int | None] = [None] * n
     parent = [-1] * n
     parent_sign = [0] * n
@@ -237,7 +254,7 @@ def is_balanced(graph: SignedGraph) -> BalanceCertificate:
         queue = deque([start])
         while queue:
             v = queue.popleft()
-            for u, mask in zip(graph.neighbors[v], graph.masks[v]):
+            for u, mask in zip(neighbors[v], masks[v]):
                 for sign in _signs_of(mask):
                     want = label[v] if sign == 1 else 1 - label[v]
                     if label[u] is None:
@@ -264,7 +281,13 @@ def disjoint_unbalanced_cycles(graph: SignedGraph) -> tuple[tuple[SignedEdge, ..
     their number is a lower bound on the minimum balanced deletion, and it
     is zero exactly on a balanced graph.  A component is labelled once more
     per cycle found in it, and the cycles never outnumber that optimum.
+
+    The cycles are found once per graph and kept on it, so a caller that
+    asks again (a repetition run, then its report) pays nothing.
     """
+    known = vars(graph).get("_disjoint_unbalanced_cycles")
+    if known is not None:
+        return known
     n = graph.n
     free = [True] * n
     cycles: list[tuple[SignedEdge, ...]] = []
@@ -307,7 +330,8 @@ def disjoint_unbalanced_cycles(graph: SignedGraph) -> tuple[tuple[SignedEdge, ..
                 free[a] = False
             for v in queue:
                 label[v] = -1
-    return tuple(cycles)
+    found = vars(graph)["_disjoint_unbalanced_cycles"] = tuple(cycles)
+    return found
 
 
 def induced_subgraph(graph: SignedGraph, vertices: Iterable[int]) -> SignedGraph:
@@ -317,16 +341,17 @@ def induced_subgraph(graph: SignedGraph, vertices: Iterable[int]) -> SignedGraph
     input graph's vertex ids.  Each adjacency list is the parent's, already
     ascending, filtered through the compacted positions.
     """
+    n, graph_neighbors, graph_masks = graph.n, graph.neighbors, graph.masks
     verts = sorted(set(vertices))
-    pos = [-1] * graph.n
+    pos = [-1] * n
     for i, v in enumerate(verts):
-        if not 0 <= v < graph.n:
+        if not 0 <= v < n:
             raise ValueError(f"vertex {v} out of range")
         pos[v] = i
     neighbors = []
     masks = []
     for v in verts:
-        kept = [(pos[u], m) for u, m in zip(graph.neighbors[v], graph.masks[v]) if pos[u] >= 0]
+        kept = [(pos[u], m) for u, m in zip(graph_neighbors[v], graph_masks[v]) if pos[u] >= 0]
         neighbors.append(tuple([j for j, _ in kept]))
         masks.append(tuple([m for _, m in kept]))
     return SignedGraph(len(verts), tuple(verts), tuple(neighbors), tuple(masks))
@@ -364,7 +389,8 @@ def extract_network(
         raise NotBalancedError(
             "selected rows do not induce a balanced subgraph", witness
         )
-    reflected = frozenset(graph.tags[sub.tags[v]] for v in certificate.switch_set)
+    tags, sub_tags = graph.tags, sub.tags
+    reflected = frozenset([tags[sub_tags[v]] for v in certificate.switch_set])
     network = matrix.submatrix_rows(row_list, flip=reflected)
     if not is_network_matrix(network):
         raise RuntimeError(

@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 import refnet.cli
+import refnet.exact
 from helpers import matrix_realizing, random_signed_graph, write_mps
 from refnet.cli import main
 from refnet.exact import brute_force_mbd
@@ -135,6 +136,28 @@ class TestExtract:
             assert main(["extract", str(path), "--repeats", "80", "--out", "json"]) == 0
             payload = json.loads(capsys.readouterr().out)
             assert payload["lower_bound"] <= brute_force_mbd(graph)[0] <= payload["k"]
+
+    def test_lower_bound_found_once(self, tmp_path, capsys, monkeypatch):
+        # sga_repeat's stop test and the report share one search for the cycles.
+        import refnet.signed_graph as signed_graph_module
+
+        graph = SignedGraph.from_edges(
+            6, [(0, 1, -1), (1, 2, -1), (0, 2, -1), (3, 4, -1), (4, 5, -1), (3, 5, -1)]
+        )
+        path = tmp_path / "two_triangles.mps"
+        path.write_text(write_mps(matrix_realizing(graph)))
+        calls = 0
+        witness_cycle = signed_graph_module._witness_cycle
+
+        def counting(*args):
+            nonlocal calls
+            calls += 1
+            return witness_cycle(*args)
+
+        monkeypatch.setattr(signed_graph_module, "_witness_cycle", counting)
+        assert main(["extract", str(path), "--repeats", "80", "--out", "json"]) == 0
+        assert json.loads(capsys.readouterr().out)["lower_bound"] == 2
+        assert calls == 2  # one per triangle, in a single search
 
 
 class TestExact:
@@ -365,14 +388,15 @@ class TestBench:
         directory.mkdir()
         (directory / "fig.coord").write_text(dump_coord(matrix_realizing(fig_graph())))
         (directory / "net.coord").write_text(network_coord())
-        real = refnet.cli.mbd_exact
+        real = refnet.exact.mbd_exact
 
         def flaky(graph, **kwargs):
             if graph.n == 3:  # the network instance
                 raise RuntimeError("solver broke")
             return real(graph, **kwargs)
 
-        monkeypatch.setattr(refnet.cli, "mbd_exact", flaky)
+        # `bench` looks the solver up in refnet.exact when it runs.
+        monkeypatch.setattr(refnet.exact, "mbd_exact", flaky)
         assert main(["bench", str(directory), "--timeout", "60", "--jobs", jobs]) == 0
         _, data, _ = read_bench_csv(capsys.readouterr().out)
         status = {row[0]: row[-1] for row in data}
@@ -447,17 +471,51 @@ class TestRetiredFlags:
         assert f"unrecognized arguments: {flag}" in err
 
 
-def test_import_leaves_out_bench_only_modules():
-    # Only `bench` uses the process pool and statistics; every other command
-    # starts without loading them.
+# Only `bench` uses the process pool and statistics.  Only `exact` and
+# `bench` use the exact solver (and its flow code), csv output (--out csv
+# aside) and tracebacks; no refnet module uses dataclasses, whose import pulls
+# in inspect.
+BENCH_ONLY = ("multiprocessing", "concurrent.futures.process", "statistics")
+EXACT_ONLY = ("refnet.exact", "refnet.flow", "dataclasses", "inspect", "csv", "traceback")
+
+
+def _src_env() -> dict:
     env = dict(os.environ)
     env["PYTHONPATH"] = str(SRC) + (os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
+    return env
+
+
+def test_import_leaves_out_bench_only_modules():
+    # Importing the CLI loads none of them.
     script = (
         "import json, sys, refnet.cli; print(json.dumps(sorted(m for m in"
-        " ('multiprocessing', 'concurrent.futures.process', 'statistics') if m in sys.modules)))"
+        f" {BENCH_ONLY + EXACT_ONLY!r} if m in sys.modules)))"
     )
     proc = subprocess.run(
-        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60
+        [sys.executable, "-c", script], env=_src_env(), capture_output=True, text=True, timeout=60
     )
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout) == []
+
+
+def test_extract_run_leaves_out_exact_only_modules(tmp_path):
+    # The whole README command, run as a module: -X importtime lists on
+    # stderr every module the process imports.
+    rng = random.Random(14)
+    graph = random_signed_graph(rng, n_min=12, n_max=12, p_parallel=0.05)
+    path = tmp_path / "inst.mps"
+    path.write_text(write_mps(matrix_realizing(graph)))
+    proc = subprocess.run(
+        [sys.executable, "-X", "importtime", "-m", "refnet.cli", "extract", str(path),
+         "--forest", "dfs", "--repeats", "80", "--seed", "1", "--out", "json"],
+        env=_src_env(), capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["repeats"] == 80
+    imported = {
+        line.rsplit("|", 1)[1].strip()
+        for line in proc.stderr.splitlines()
+        if line.startswith("import time:")
+    }
+    assert "refnet.sga" in imported
+    assert sorted(imported.intersection(BENCH_ONLY + EXACT_ONLY)) == []

@@ -34,6 +34,8 @@ from refnet.signed_graph import (
 )
 
 sga_module = importlib.import_module("refnet.sga")
+# sga_vc looks vertex_cover up in refnet.exact when it runs.
+exact_module = importlib.import_module("refnet.exact")
 
 
 def fig_graph() -> SignedGraph:
@@ -365,7 +367,7 @@ class TestSgaVc:
     def test_matching_above_budget_raises_without_a_search(self, monkeypatch):
         # Two disjoint +/- pairs survive every switch: a matching of size 2.
         sizes = []
-        monkeypatch.setattr(sga_module, "vertex_cover", lambda adj, size: sizes.append(size))
+        monkeypatch.setattr(exact_module, "vertex_cover", lambda adj, size: sizes.append(size))
         g = SignedGraph.from_edges(4, [(0, 1, 1), (0, 1, -1), (2, 3, 1), (2, 3, -1)])
         with pytest.raises(CoverBudgetError):
             sga_vc(g, "DFS", vc_budget=1)
@@ -378,7 +380,7 @@ class TestSgaVc:
             calls.append((adjacency, size))
             return vertex_cover(adjacency, size)
 
-        monkeypatch.setattr(sga_module, "vertex_cover", recording)
+        monkeypatch.setattr(exact_module, "vertex_cover", recording)
         rng = random.Random(32)
         skipped = 0
         for trial in range(80):

@@ -261,7 +261,7 @@ module = importlib.import_module("refnet.sga")
 sga, sga_vc, sga_repeat = module.sga, module.sga_vc, module.sga_repeat
 triangle = SignedGraph.from_edges(3, [(0, 1, -1), (1, 2, -1), (0, 2, -1)])
 module.greedy_independent_set = lambda adjacency: set(range(len(adjacency)))
-module.vertex_cover = lambda adjacency, size: set()
+importlib.import_module("refnet.exact").vertex_cover = lambda adjacency, size: set()
 calls = {
     "sga": lambda: sga(triangle, "DFS"),
     "sga_vc": lambda: sga_vc(triangle, "DFS"),

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import importlib
 import random
 
 import pytest
@@ -31,6 +32,8 @@ from refnet.signed_graph import (
     induced_subgraph,
     is_balanced,
 )
+
+signed_graph_module = importlib.import_module("refnet.signed_graph")
 
 
 def fig_graph() -> SignedGraph:
@@ -230,6 +233,19 @@ class TestDisjointUnbalancedCycles:
         cycles = disjoint_unbalanced_cycles(g)
         assert cycles == (((0, 1, 1), (1, 0, -1)), ((6, 4, -1), (4, 5, -1), (5, 6, -1)))
         self.check_cycles(g, cycles)
+
+    def test_found_once_per_graph(self, monkeypatch):
+        g = SignedGraph.from_edges(6, [(0, 1, -1), (1, 2, -1), (0, 2, -1), (3, 4, 1), (3, 4, -1)])
+        first = disjoint_unbalanced_cycles(g)
+        assert len(first) == 2
+
+        def no_search(*args):
+            raise AssertionError("the cycles were searched for again")
+
+        monkeypatch.setattr(signed_graph_module, "_witness_cycle", no_search)
+        assert disjoint_unbalanced_cycles(g) is first
+        with pytest.raises(AssertionError, match="searched"):
+            disjoint_unbalanced_cycles(SignedGraph(*g))  # an equal graph of its own
 
     def test_at_most_the_oracle_optimum(self):
         graphs = self.graphs()

@@ -176,20 +176,26 @@ class _ParityDSU:
             cur, cur_par = nxt, nxt_par
         return root, p
 
-    def union(self, x: int, y: int, rel: int) -> bool:
-        """Join with x,y parity relation ``rel``; False on contradiction."""
-        rx, px = self.find(x)
-        ry, py = self.find(y)
-        if rx == ry:
-            return (px ^ py) == rel
-        if self.rank[rx] > self.rank[ry]:
-            rx, ry = ry, rx
-            px, py = py, px
-        self.parent[rx] = ry
-        self.parity[rx] = px ^ py ^ rel
-        if self.rank[rx] == self.rank[ry]:
-            self.rank[ry] += 1
-        return True
+    def join(self, v: int, parity_to_root: dict[int, int]) -> None:
+        """Link the singleton v to each given root with v's parity to it.
+
+        The roots are distinct and a consistent labelling exists, so the
+        component of the highest-ranked one absorbs v and the others.
+        """
+        if not parity_to_root:
+            return
+        parent, parity, rank = self.parent, self.parity, self.rank
+        top = max(parity_to_root, key=rank.__getitem__)
+        p_top = parity_to_root[top]
+        parent[v] = top
+        parity[v] = p_top
+        height = max(rank[top], 1)
+        for root, p in parity_to_root.items():
+            if root != top:
+                parent[root] = top
+                parity[root] = p ^ p_top
+                height = max(height, rank[root] + 1)
+        rank[top] = height
 
 
 def _set_bits(mask: int) -> list[int]:
@@ -203,6 +209,7 @@ def _set_bits(mask: int) -> list[int]:
 
 def _compress_transversal(
     adjacency: Sequence[Sequence[tuple[int, int]]],
+    solver: SeparatorSolver,
     upto: int,
     transversal: Sequence[int],
     budget: int,
@@ -213,54 +220,50 @@ def _compress_transversal(
     by one of size <= budget, or report that none exists.
 
     Depth-first branch and bound over the splits of a signed adjacency;
-    ``stats["splits"]`` counts the search nodes examined.  ``cancel`` is
-    polled every 64 flow runs.
+    ``stats["splits"]`` counts the search nodes examined.  ``solver`` is the
+    flow network of the whole adjacency with exactly the vertices below
+    ``upto`` outside the transversal open.  ``cancel`` is polled every 64
+    flow runs.
     """
     xs = sorted(transversal)
     x_set = set(xs)
-    rest = [v for v in range(upto) if v not in x_set]
-    rest_index = {v: i for i, v in enumerate(rest)}
-    n_rest = len(rest)
-
-    rest_adj = [
-        [(rest_index[u], p) for u, p in adjacency[v] if u < upto and u not in x_set]
-        for v in rest
-    ]
 
     # Reference labelling of the transversal-free part (balanced by the
     # compression invariant): a parity-p edge joins labels that differ by p.
-    color = [0] * n_rest
-    seen = [False] * n_rest
-    for start in range(n_rest):
-        if seen[start]:
+    # -1 marks a vertex not labelled yet; transversal vertices carry 2 and
+    # are passed over.
+    color = [-1] * upto
+    for x in xs:
+        color[x] = 2
+    for start in range(upto):
+        if color[start] >= 0:
             continue
-        seen[start] = True
+        color[start] = 0
         queue = [start]
-        qi = 0
-        while qi < len(queue):
-            x = queue[qi]
-            qi += 1
-            for y, p in rest_adj[x]:
-                if not seen[y]:
-                    seen[y] = True
-                    color[y] = color[x] ^ p
+        for x in queue:
+            cx = color[x]
+            for y, p in adjacency[x]:
+                if y >= upto:
+                    continue
+                cy = color[y]
+                if cy < 0:
+                    color[y] = cx ^ p
                     queue.append(y)
-                elif color[y] != color[x] ^ p:
+                elif cy != 2 and cy != cx ^ p:
                     raise RuntimeError("transversal invariant broken")
-    color_mask = sum(1 << i for i, c in enumerate(color) if c)
-    not_color = ((1 << n_rest) - 1) ^ color_mask
 
     # Keeping x on side s asks label s ^ p of its neighbour over a parity-p
     # edge outside the transversal: a neighbour whose reference label already
     # matches is a ref terminal, any other must flip.  Side 1 mirrors side 0,
     # and a +/- neighbour lands in both sets, so it must be cut.  Transversal
     # neighbours listed before x are kept for the kept-pair check, which a
-    # DROP never fails: DROP ^ value ^ p is never 1.
+    # DROP never fails: DROP ^ value ^ p is never 1.  Terminal sets are
+    # bitmasks over vertex ids.
     x_pos = {x: i for i, x in enumerate(xs)}
     x_nbrs: list[list[tuple[int, int]]] = [[] for _ in xs]
     side_terminals = []
     for i, x in enumerate(xs):
-        even = odd = 0
+        ref = flip = 0
         for u, p in adjacency[x]:
             if u >= upto:
                 continue
@@ -268,15 +271,12 @@ def _compress_transversal(
                 j = x_pos[u]
                 if j < i:
                     x_nbrs[i].append((j, p))
-            elif p:
-                odd |= 1 << rest_index[u]
+            elif color[u] ^ p:
+                flip |= 1 << u
             else:
-                even |= 1 << rest_index[u]
-        ref = odd & color_mask | even & not_color
-        flip = odd & not_color | even & color_mask
+                ref |= 1 << u
         side_terminals.append(((ref, flip), (flip, ref)))
 
-    solver = SeparatorSolver(n_rest, [[y for y, _ in nbrs] for nbrs in rest_adj])
     q = len(xs)
     SIDE_A, SIDE_B, DROP = 0, 1, 2
     assign = [0] * q
@@ -287,31 +287,36 @@ def _compress_transversal(
         ref: int,
         flip: int,
         dropped: int,
-        residual: Residual,
-        cut: list[int],
+        flow_state: tuple[Residual, list[int], int, int],
         grown: bool,
     ) -> set[int] | None:
         # A node with the first i transversal vertices decided and terminal
-        # masks ref/flip.  ``residual`` holds a maximum flow between its
-        # parent's terminals and ``cut`` that flow's separator; ``grown``
-        # says whether deciding vertex i - 1 added terminals.
+        # masks ref/flip.  ``flow_state`` holds a maximum flow between its
+        # parent's terminals, that flow's separator and the terminal masks
+        # open in it; ``grown`` says whether deciding vertex i - 1 added
+        # terminals.
         nonlocal flows
         stats["splits"] = stats.get("splits", 0) + 1
         flow_budget = budget - dropped
         if (ref & flip).bit_count() > flow_budget:
             return None
+        residual, cut, open_ref, open_flip = flow_state
         if grown and ref and flip:
             flows += 1
             if cancel is not None and flows % 64 == 0 and cancel.expired():
                 raise OperationCancelled
             residual = residual.copy()
-            cut = solver.solve(_set_bits(ref), _set_bits(flip), flow_budget, residual)
+            # Terminals already open in the parent's flow stay open.
+            cut = solver.solve(
+                _set_bits(ref & ~open_ref), _set_bits(flip & ~open_flip), flow_budget, residual
+            )
             if cut is None:
                 return None
+            flow_state = (residual, cut, ref, flip)
         elif residual.flow > flow_budget:
             return None
         if i == q:
-            return {xs[j] for j in range(q) if assign[j] == DROP} | {rest[j] for j in cut}
+            return {xs[j] for j in range(q) if assign[j] == DROP}.union(cut)
 
         first_kept_pending = dropped == i
         for value in (SIDE_A, SIDE_B, DROP):
@@ -321,21 +326,21 @@ def _compress_transversal(
                 if dropped + 1 > budget:
                     continue
                 assign[i] = DROP
-                found = search(i + 1, ref, flip, dropped + 1, residual, cut, False)
+                found = search(i + 1, ref, flip, dropped + 1, flow_state, False)
             else:
                 if any(assign[j] ^ value ^ p == 1 for j, p in x_nbrs[i]):
                     continue  # a kept pair's sides must differ by its parity
                 assign[i] = value
                 add_ref, add_flip = side_terminals[i][value]
                 found = search(
-                    i + 1, ref | add_ref, flip | add_flip, dropped, residual, cut,
+                    i + 1, ref | add_ref, flip | add_flip, dropped, flow_state,
                     bool(add_ref & ~ref or add_flip & ~flip),
                 )
             if found is not None:
                 return found
         return None
 
-    return search(0, 0, 0, 0, solver.residual(), [], False)
+    return search(0, 0, 0, 0, (solver.residual(), [], 0, 0), False)
 
 
 def _balancing_transversal(
@@ -351,42 +356,66 @@ def _balancing_transversal(
     vertices in ascending order; a parity union-find tracks balance of the
     transversal-free part between compressions.  The budget rises by one
     each time a compression fails; ``stats["lower_bound"]`` holds it.
+
+    One flow network over all vertices serves every compression: a vertex
+    opens in it when it is inserted outside the transversal and closes when
+    it joins the transversal.
     """
     budget = stats["lower_bound"] = 0
     n = len(adjacency)
     in_transversal = [False] * n
     transversal: list[int] = []
     dsu = _ParityDSU(n)
+    solver = SeparatorSolver(n, [sorted({u for u, _ in nbrs}) for nbrs in adjacency])
+    for v in range(n):
+        solver.close(v)
 
     def rebuild(upto: int) -> None:
+        # Label each component of the transversal-free prefix from its
+        # lowest vertex, which becomes the root of a one-level tree.
         nonlocal dsu
         dsu = _ParityDSU(n)
-        for v in range(upto):
-            if in_transversal[v]:
+        parent, parity, rank = dsu.parent, dsu.parity, dsu.rank
+        seen = in_transversal[:upto]
+        for start in range(upto):
+            if seen[start]:
                 continue
-            for u, p in adjacency[v]:
-                if u < v and not in_transversal[u] and not dsu.union(u, v, p):
-                    raise RuntimeError("compressed transversal must leave a balanced graph")
+            seen[start] = True
+            queue = [start]
+            for x in queue:
+                px = parity[x]
+                for u, p in adjacency[x]:
+                    if u >= upto or in_transversal[u]:
+                        continue
+                    if not seen[u]:
+                        seen[u] = True
+                        parent[u] = start
+                        parity[u] = px ^ p
+                        queue.append(u)
+                    elif parity[u] != px ^ p:
+                        raise RuntimeError("compressed transversal must leave a balanced graph")
+            rank[start] = int(len(queue) > 1)
 
     for v in range(n):
         if cancel is not None and cancel.expired():
             raise OperationCancelled
-        incident = [(u, p) for u, p in adjacency[v] if u < v and not in_transversal[u]]
-        label_of_root: dict[int, int] = {}
-        for u, p in incident:
-            root, parity = dsu.find(u)
-            if label_of_root.setdefault(root, parity ^ p) != parity ^ p:
-                break  # v closes an unbalanced cycle
+        # v's parity to the root of each earlier neighbour's component.
+        parity_to_root: dict[int, int] = {}
+        for u, p in adjacency[v]:
+            if u < v and not in_transversal[u]:
+                root, parity = dsu.find(u)
+                if parity_to_root.setdefault(root, parity ^ p) != parity ^ p:
+                    break  # v closes an unbalanced cycle
         else:
-            for u, p in incident:
-                dsu.union(v, u, p)
+            dsu.join(v, parity_to_root)
+            solver.open(v)
             continue
         transversal.append(v)
         in_transversal[v] = True
         if len(transversal) <= budget:
             continue
         compressed = _compress_transversal(
-            adjacency, v + 1, transversal, budget, cancel, stats
+            adjacency, solver, v + 1, transversal, budget, cancel, stats
         )
         if compressed is None:
             # The prefix needs budget + 1 vertices, so the whole graph does
@@ -395,8 +424,15 @@ def _balancing_transversal(
             if budget > k:
                 return None
             continue
+        for w in transversal:
+            if w not in compressed:
+                in_transversal[w] = False
+                solver.open(w)
+        for w in compressed:
+            if not in_transversal[w]:
+                in_transversal[w] = True
+                solver.close(w)
         transversal = sorted(compressed)
-        in_transversal = [w in compressed for w in range(n)]
         rebuild(v + 1)
     return set(transversal)
 

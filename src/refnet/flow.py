@@ -10,7 +10,14 @@ vertex v becomes an arc in(v) -> out(v) of capacity one, undirected edges
 become a pair of wide arcs between the split halves, and a super source /
 sink attach to the terminals with wide arcs.  Every source-sink path then
 crosses some internal arc, so the minimum cut picks only internal arcs and
-reads back as a vertex set via residual reachability.
+reads back as a vertex set via residual reachability: the vertices whose
+internal arc carries flow from a reachable in(v) to an unreachable out(v),
+read off the nodes the last search visited.
+
+A vertex can be closed: its internal arc gets capacity zero, so no flow
+crosses it and it acts as removed, although its in(v) may still be reached.
+It never carries flow, so the read-back skips it.  The exact solver keeps
+one network per solve this way and opens vertices as it inserts them.
 
 The flow is a pure-Python breadth-first augmenting loop over paired-arc
 residual arrays; it aborts as soon as the flow exceeds the limit, so a
@@ -30,18 +37,20 @@ from typing import Iterable, Sequence
 class Residual:
     """One flow in a :class:`SeparatorSolver`'s network.
 
-    ``cap`` holds the residual capacity of every arc and ``flow`` the flow
-    value; :meth:`SeparatorSolver.solve` grows both in place.
+    ``cap`` holds the residual capacity of every arc, ``flow`` the flow
+    value and ``sources`` the source terminals opened so far, where every
+    search starts; :meth:`SeparatorSolver.solve` grows all three in place.
     """
 
-    __slots__ = ("cap", "flow")
+    __slots__ = ("cap", "flow", "sources")
 
-    def __init__(self, cap: list[int], flow: int = 0):
+    def __init__(self, cap: list[int], flow: int = 0, sources: list[int] | None = None):
         self.cap = cap
         self.flow = flow
+        self.sources = [] if sources is None else sources
 
     def copy(self) -> "Residual":
-        return Residual(self.cap.copy(), self.flow)
+        return Residual(self.cap.copy(), self.flow, self.sources.copy())
 
 
 class SeparatorSolver:
@@ -49,8 +58,13 @@ class SeparatorSolver:
 
     Build once per graph, then call :meth:`solve` with varying terminal
     sets, from zero or continuing a :meth:`residual`; the flow network
-    skeleton is shared across calls.  Nodes are
-    numbered in(v) = 2v, out(v) = 2v + 1, then the source and the sink.
+    skeleton is shared across calls.  Nodes are numbered in(v) = 2v,
+    out(v) = 2v + 1, then the source and the sink; arc 2v is v's internal
+    arc and 2v + 1 its reverse.
+
+    Every vertex starts open.  :meth:`close` shuts its internal arc, so no
+    flow crosses it and the vertex acts as removed from the graph until
+    :meth:`open` restores it; residuals made from then on see the change.
     """
 
     # The one flow implementation; perfbench's tracer labels calls by it.
@@ -58,38 +72,51 @@ class SeparatorSolver:
 
     def __init__(self, n: int, adjacency: Sequence[Sequence[int]]):
         self.n = n
-        self._wide = n + 2  # exceeds any possible flow value
-        self._source = 2 * n
-        self._sink = 2 * n + 1
-        to: list[int] = []
-        cap: list[int] = []
-        head: list[list[int]] = [[] for _ in range(2 * n + 2)]
-
-        def add_arc(a: int, b: int, c: int) -> int:
-            idx = len(to)
-            head[a].append(idx)
-            to.append(b)
-            cap.append(c)
-            head[b].append(idx + 1)
-            to.append(a)
-            cap.append(0)
-            return idx
-
+        self._wide = wide = n + 2  # exceeds any possible flow value
+        self._source = source = 2 * n
+        self._sink = sink = 2 * n + 1
+        # Internal arcs first: arc 2v runs in(v) -> out(v), arc 2v + 1 back,
+        # so node x's first arc is arc x.
+        head: list[list[int]] = [[x] for x in range(2 * n)] + [[], []]
+        to = [x ^ 1 for x in range(2 * n)]
+        cap = [1, 0] * n
         for v in range(n):
-            add_arc(2 * v, 2 * v + 1, 1)
-        for v in range(n):
+            out_v, in_v = 2 * v + 1, 2 * v
             for u in adjacency[v]:
                 if u > v:
-                    add_arc(2 * v + 1, 2 * u, self._wide)
-                    add_arc(2 * u + 1, 2 * v, self._wide)
-        self._src_arc = [0] * n
-        self._snk_arc = [0] * n
+                    idx = len(to)
+                    head[out_v].append(idx)
+                    head[2 * u].append(idx + 1)
+                    head[2 * u + 1].append(idx + 2)
+                    head[in_v].append(idx + 3)
+                    to += (2 * u, out_v, in_v, 2 * u + 1)
+                    cap += (wide, 0, wide, 0)
+        self._src_arc = src_arc = [0] * n
+        self._snk_arc = snk_arc = [0] * n
+        # Only the arcs into the sink go on the lists: a search starts from
+        # the sources a residual has opened, never returns to the source and
+        # stops at the sink.
         for v in range(n):
-            self._src_arc[v] = add_arc(self._source, 2 * v, 0)
-            self._snk_arc[v] = add_arc(2 * v + 1, self._sink, 0)
+            idx = len(to)
+            head[2 * v + 1].append(idx + 2)
+            to += (2 * v, source, sink, 2 * v + 1)
+            cap += (0, 0, 0, 0)
+            src_arc[v] = idx
+            snk_arc[v] = idx + 2
         self._to = to
         self._cap_template = cap
         self._head = head
+        # prev_arc of the breadth-first search, kept between searches: -1
+        # marks a node unvisited, and each search resets only what it visited.
+        self._prev_arc = [-1] * (2 * n + 2)
+
+    def open(self, v: int) -> None:
+        """Let flow cross vertex v again."""
+        self._cap_template[2 * v] = 1
+
+    def close(self, v: int) -> None:
+        """Stop all flow through vertex v, as if it were removed."""
+        self._cap_template[2 * v] = 0
 
     def residual(self) -> Residual:
         """Zero flow with every terminal arc closed, for :meth:`solve` to grow."""
@@ -116,38 +143,51 @@ class SeparatorSolver:
             return None
         if residual is None:
             residual = self.residual()
-        cap = residual.cap
-        wide = self._wide
+        cap, opened = residual.cap, residual.sources
+        wide, src_arc = self._wide, self._src_arc
         # An open terminal arc keeps its flow: its residual is wide - flow.
+        # A closed one has no capacity either way.
         for v in sources:
-            a = self._src_arc[v]
+            a = src_arc[v]
+            if not cap[a] and not cap[a ^ 1]:
+                opened.append(v)
             cap[a] = wide - cap[a ^ 1]
         for v in sinks:
             a = self._snk_arc[v]
             cap[a] = wide - cap[a ^ 1]
-        to, head = self._to, self._head
+        to, head, prev_arc = self._to, self._head, self._prev_arc
         s, t = self._source, self._sink
-        n_nodes = 2 * self.n + 2
         flow = residual.flow
         while flow <= limit:
-            # prev_arc doubles as the visited mark: -1 is unvisited.
-            prev_arc = [-1] * n_nodes
             prev_arc[s] = -2
             queue = [s]
-            qi = 0
-            while qi < len(queue) and prev_arc[t] == -1:
-                x = queue[qi]
-                qi += 1
+            for v in opened:
+                a = src_arc[v]
+                if cap[a] and prev_arc[2 * v] == -1:
+                    prev_arc[2 * v] = a
+                    queue.append(2 * v)
+            for x in queue:
                 for a in head[x]:
-                    if cap[a] > 0 and prev_arc[to[a]] == -1:
-                        prev_arc[to[a]] = a
-                        queue.append(to[a])
+                    if cap[a]:
+                        y = to[a]
+                        if prev_arc[y] == -1:
+                            prev_arc[y] = a
+                            queue.append(y)
+                if prev_arc[t] != -1:
+                    break
             if prev_arc[t] == -1:
-                separator = [
-                    v
-                    for v in range(self.n)
-                    if prev_arc[2 * v] != -1 and prev_arc[2 * v + 1] == -1
-                ]
+                # The cut is the set of saturated internal arcs leaving the
+                # visited region: a visited in(v) whose out(v) is not, and
+                # whose arc carries flow (a closed vertex carries none).
+                separator = sorted(
+                    [
+                        x >> 1
+                        for x in queue
+                        if not x & 1 and x < s and prev_arc[x + 1] == -1 and cap[x + 1]
+                    ]
+                )
+                for x in queue:
+                    prev_arc[x] = -1
                 if len(separator) != flow:
                     raise RuntimeError("separator size differs from the maximum flow")
                 return separator
@@ -163,5 +203,7 @@ class SeparatorSolver:
                 cap[a] -= bottleneck
                 cap[a ^ 1] += bottleneck
                 x = to[a ^ 1]
+            for x in queue:
+                prev_arc[x] = -1
             flow = residual.flow = flow + bottleneck
         return None

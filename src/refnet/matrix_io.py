@@ -1,8 +1,8 @@
 """Exact-rational sparse matrices and the two input formats they come from.
 
 Constraint matrices are stored sparsely: only nonzero entries are kept, each
-carrying its row and column index, plus per-row and per-column lists of entry
-references.  All values are :class:`fractions.Fraction` so that scaling and
+carrying its row and column index, in (row, col) order, plus per-row ranges
+and per-column lists of entry references.  All values are :class:`fractions.Fraction` so that scaling and
 membership tests against {-1, 0, +1} are exact -- no tolerance ever enters.
 
 Two file formats are supported:
@@ -114,12 +114,17 @@ class SparseMatrix(_SparseMatrixFields):
         )
 
     @cached_property
-    def row_nonzeros(self) -> tuple[tuple[int, ...], ...]:
-        """Per-row tuple of indices into ``entries``."""
-        rows: list[list[int]] = [[] for _ in range(self.n_rows)]
-        for i, (r, _, _) in enumerate(self.entries):
-            rows[r].append(i)
-        return tuple(tuple(ix) for ix in rows)
+    def row_nonzeros(self) -> tuple[range, ...]:
+        """Per-row range of indices into ``entries`` (entries are row-sorted)."""
+        ends = [0] * self.n_rows
+        for r, _, _ in self.entries:
+            ends[r] += 1
+        out = []
+        start = 0
+        for count in ends:
+            out.append(range(start, start + count))
+            start += count
+        return tuple(out)
 
     @cached_property
     def col_nonzeros(self) -> tuple[tuple[int, ...], ...]:
@@ -139,18 +144,29 @@ class SparseMatrix(_SparseMatrixFields):
         ``rows``.  Column count and names are preserved.
         """
         flip_set = set(flip)
-        index_of = {r: i for i, r in enumerate(rows)}
-        if len(index_of) != len(rows):
+        if len(set(rows)) != len(rows):
             raise ValueError("duplicate row selected")
-        entries = []
-        for r, c, v in self.entries:
-            i = index_of.get(r)
-            if i is not None:
-                entries.append((i, c, -v if r in flip_set else v))
+        # Each selected row's entries, already ascending by column, in turn;
+        # each distinct value object is negated once.
+        entries, spans = self.entries, self.row_nonzeros
+        negated: dict[int, Fraction] = {}
+        out: list[Entry] = []
+        for i, r in enumerate(rows):
+            if not 0 <= r < self.n_rows:
+                raise ValueError(f"row {r} out of range")
+            span = entries[spans[r].start:spans[r].stop]
+            if r in flip_set:
+                for _, c, v in span:
+                    w = negated.get(id(v))
+                    if w is None:
+                        w = negated[id(v)] = -v
+                    out.append((i, c, w))
+            else:
+                out += [(i, c, v) for _, c, v in span]
         names = self.row_names
         if names is not None:
             names = tuple([names[r] for r in rows])
-        return SparseMatrix.from_entries(len(rows), self.n_cols, entries, names, self.col_names)
+        return SparseMatrix(len(rows), self.n_cols, tuple(out), names, self.col_names)
 
 
 def classify_rows(matrix: SparseMatrix) -> tuple[bool, ...]:
@@ -204,16 +220,31 @@ def _parse_numeral(token: str, line_no: int) -> Fraction:
         raise MatrixFormatError(f"unparsable numeral {token!r}", line_no) from None
 
 
-def _numeral(token: str, line_no: int, memo: dict[str, Fraction]) -> Fraction:
-    """``_parse_numeral`` once per distinct token of one file.
+def _numeral(token: str, line_no: int, memo: dict[str, Fraction | None]) -> Fraction | None:
+    """``_parse_numeral`` once per distinct token of one file; None for a zero.
 
-    Files repeat a few numerals thousands of times.  A token that fails is
-    never stored, so its error names the first line it appears on.
+    Files repeat a few numerals thousands of times, so the memo also keeps
+    each token's zero test.  A token that fails is never stored, so its
+    error names the first line it appears on.
     """
-    value = memo.get(token)
-    if value is None:
-        value = memo[token] = _parse_numeral(token, line_no)
-    return value
+    try:
+        return memo[token]
+    except KeyError:
+        value = memo[token] = _parse_numeral(token, line_no) or None
+        return value
+
+
+def _sorted_matrix(
+    n_rows: int,
+    n_cols: int,
+    cells: dict[int, Entry],
+    row_names: tuple[str, ...] | None = None,
+    col_names: tuple[str, ...] | None = None,
+) -> "SparseMatrix":
+    """The matrix of ``cells``, each entry keyed by a flat index that sorts
+    as its (row, col) does: one integer sort orders the entries."""
+    entries = tuple(map(cells.__getitem__, sorted(cells)))
+    return SparseMatrix(n_rows, n_cols, entries, row_names, col_names)
 
 
 def _decode(text: str | bytes) -> str:
@@ -245,15 +276,13 @@ def parse_coord(text: str | bytes) -> SparseMatrix:
     zero values are rejected.
     """
     text = _decode(text)
-    numerals: dict[str, Fraction] = {}
+    numerals: dict[str, Fraction | None] = {}
     header: tuple[int, int, int] | None = None
-    entries: list[Entry] = []
-    seen: set[tuple[int, int]] = set()
+    cells: dict[int, Entry] = {}  # flat index r * n_cols + c -> entry
     for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("%"):
+        tokens = raw.split()
+        if not tokens or tokens[0][0] == "%":
             continue
-        tokens = line.split()
         if header is None:
             if len(tokens) != 3:
                 raise MatrixFormatError("header must be 'n_rows n_cols n_entries'", line_no)
@@ -263,11 +292,11 @@ def parse_coord(text: str | bytes) -> SparseMatrix:
                 raise MatrixFormatError("header fields must be integers", line_no) from None
             if min(header) < 0:
                 raise MatrixFormatError("header fields must be non-negative", line_no)
+            n_rows, n_cols, n_entries = header
             continue
         if len(tokens) != 3:
             raise MatrixFormatError("expected 'row col value'", line_no)
-        n_rows, n_cols, n_entries = header
-        if len(entries) >= n_entries:
+        if len(cells) >= n_entries:
             raise MatrixFormatError("more entries than declared in header", line_no)
         try:
             r, c = int(tokens[0]) - 1, int(tokens[1]) - 1
@@ -275,18 +304,18 @@ def parse_coord(text: str | bytes) -> SparseMatrix:
             raise MatrixFormatError("indices must be integers", line_no) from None
         if not (0 <= r < n_rows and 0 <= c < n_cols):
             raise MatrixFormatError(f"index ({r + 1}, {c + 1}) out of range", line_no)
-        if (r, c) in seen:
+        key = r * n_cols + c
+        if key in cells:
             raise MatrixFormatError(f"duplicate entry at ({r + 1}, {c + 1})", line_no)
         value = _numeral(tokens[2], line_no, numerals)
-        if not value:
+        if value is None:
             raise MatrixFormatError(f"zero value at ({r + 1}, {c + 1})", line_no)
-        seen.add((r, c))
-        entries.append((r, c, value))
+        cells[key] = (r, c, value)
     if header is None:
         raise MatrixFormatError("empty input, missing header")
-    if len(entries) != header[2]:
-        raise MatrixFormatError(f"expected {header[2]} entries, found {len(entries)}")
-    return SparseMatrix.from_entries(header[0], header[1], entries)
+    if len(cells) != n_entries:
+        raise MatrixFormatError(f"expected {n_entries} entries, found {len(cells)}")
+    return _sorted_matrix(n_rows, n_cols, cells)
 
 
 def _format_value(v: Fraction) -> str:
@@ -318,87 +347,86 @@ def parse_mps(text: str | bytes) -> SparseMatrix:
     tokenized on whitespace.
     """
     text = _decode(text)
-    numerals: dict[str, Fraction] = {}
+    numerals: dict[str, Fraction | None] = {}
 
-    row_type: dict[str, str] = {}
-    row_index: dict[str, int] = {}
+    rows: dict[str, int] = {}  # row name -> matrix row, -1 for an N row
     row_names: list[str] = []
     col_index: dict[str, int] = {}
     col_names: list[str] = []
-    entries: list[Entry] = []
-    seen: set[tuple[int, int]] = set()
+    # Flat index r * stride + c -> entry.  Every column takes a line of its
+    # own, so the text's length exceeds every column index.
+    stride = len(text) + 1
+    cells: dict[int, Entry] = {}
 
     section: str | None = None
-    saw_endata = False
 
     for line_no, raw in enumerate(text.splitlines(), start=1):
-        if saw_endata:
-            break
-        if not raw.strip() or raw.lstrip().startswith("*"):
+        tokens = raw.split()
+        if not tokens or tokens[0][0] == "*":
             continue
         if raw[0] not in " \t":
-            tokens = raw.split()
             keyword = tokens[0]
             if keyword not in _SECTIONS:
                 raise MatrixFormatError(f"unknown section header {keyword!r}", line_no)
             if keyword == "ENDATA":
-                saw_endata = True
-                continue
+                break
             section = keyword
             continue
 
-        tokens = raw.split()
-        if section is None or section == "NAME":
+        if section == "COLUMNS":
+            if "'MARKER'" in raw:
+                continue  # integrality markers carry no matrix data
+            if len(tokens) != 3 and len(tokens) != 5:
+                raise MatrixFormatError(
+                    "COLUMNS line must be 'col row value [row value]'", line_no
+                )
+            col = tokens[0]
+            c = col_index.get(col)
+            if c is None:
+                c = col_index[col] = len(col_names)
+                col_names.append(col)
+            for k in range(1, len(tokens), 2):
+                row_name = tokens[k]
+                r = rows.get(row_name)
+                if r is None:
+                    raise MatrixFormatError(f"undeclared row {row_name!r}", line_no)
+                token = tokens[k + 1]
+                value = numerals[token] if token in numerals else _numeral(token, line_no, numerals)
+                if r < 0:
+                    continue  # objective/free coefficients are not constraints
+                if value is None:
+                    raise MatrixFormatError(
+                        f"explicit zero for row {row_name!r}, column {col!r}", line_no
+                    )
+                key = r * stride + c
+                if key in cells:
+                    raise MatrixFormatError(
+                        f"duplicate entry for row {row_name!r}, column {col!r}", line_no
+                    )
+                cells[key] = (r, c, value)
+
+        elif section is None or section == "NAME":
             raise MatrixFormatError("data line outside any section", line_no)
 
-        if section == "ROWS":
+        elif section == "ROWS":
             if len(tokens) != 2:
                 raise MatrixFormatError("ROWS line must be 'type name'", line_no)
             rtype, name = tokens
             if rtype not in _ROW_TYPES:
                 raise MatrixFormatError(f"unknown row type {rtype!r}", line_no)
-            if name in row_type:
+            if name in rows:
                 raise MatrixFormatError(f"row {name!r} declared twice", line_no)
-            row_type[name] = rtype
-            if rtype != "N":
-                row_index[name] = len(row_names)
+            if rtype == "N":
+                rows[name] = -1
+            else:
+                rows[name] = len(row_names)
                 row_names.append(name)
-
-        elif section == "COLUMNS":
-            if "'MARKER'" in raw:
-                continue  # integrality markers carry no matrix data
-            if len(tokens) not in (3, 5):
-                raise MatrixFormatError(
-                    "COLUMNS line must be 'col row value [row value]'", line_no
-                )
-            col = tokens[0]
-            if col not in col_index:
-                col_index[col] = len(col_names)
-                col_names.append(col)
-            c = col_index[col]
-            for row_name, value_token in zip(tokens[1::2], tokens[2::2]):
-                if row_name not in row_type:
-                    raise MatrixFormatError(f"undeclared row {row_name!r}", line_no)
-                value = _numeral(value_token, line_no, numerals)
-                if row_type[row_name] == "N":
-                    continue  # objective/free coefficients are not constraints
-                if not value:
-                    raise MatrixFormatError(
-                        f"explicit zero for row {row_name!r}, column {col!r}", line_no
-                    )
-                r = row_index[row_name]
-                if (r, c) in seen:
-                    raise MatrixFormatError(
-                        f"duplicate entry for row {row_name!r}, column {col!r}", line_no
-                    )
-                seen.add((r, c))
-                entries.append((r, c, value))
 
         elif section in ("RHS", "RANGES"):
             if len(tokens) not in (3, 5):
                 raise MatrixFormatError(f"{section} line must be 'name row value [row value]'", line_no)
             for row_name, value_token in zip(tokens[1::2], tokens[2::2]):
-                if row_name not in row_type:
+                if row_name not in rows:
                     raise MatrixFormatError(f"undeclared row {row_name!r}", line_no)
                 _numeral(value_token, line_no, numerals)
 
@@ -407,10 +435,9 @@ def parse_mps(text: str | bytes) -> SparseMatrix:
                 raise MatrixFormatError("BOUNDS line must be 'type name col [value]'", line_no)
             if len(tokens) == 4:
                 _numeral(tokens[3], line_no, numerals)
-
-    if not saw_endata:
+    else:
         raise MatrixFormatError("missing ENDATA")
 
-    return SparseMatrix.from_entries(
-        len(row_names), len(col_names), entries, row_names, col_names
+    return _sorted_matrix(
+        len(row_names), len(col_names), cells, tuple(row_names), tuple(col_names)
     )

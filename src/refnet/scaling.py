@@ -46,17 +46,28 @@ class _Workspace:
     def __init__(self, matrix: SparseMatrix):
         self.matrix = matrix
         entries = matrix.entries
-        self.num: list[int] = [v.numerator for _, _, v in entries]
-        self.den: list[int] = [v.denominator for _, _, v in entries]
         self.row_of: list[int] = [r for r, _, _ in entries]
         self.col_of: list[int] = [c for _, c, _ in entries]
+        self.num: list[int] = []
+        self.den: list[int] = []
         self.changed: set[int] = set()
         self.rows = matrix.row_nonzeros
         self.cols = matrix.col_nonzeros
-        self.unit: list[bool] = [self._is_unit(row) for row in self.rows]
-        self.bounded: list[bool] = [
-            any(self.unit[self.row_of[e]] for e in col) for col in self.cols
-        ]
+        # The scan that reads the values also clears the unit flag of every
+        # row with a non-unit entry; a column is bounded once a unit row
+        # meets it.
+        num, den = self.num, self.den
+        unit = self.unit = [True] * matrix.n_rows
+        for r, _, v in entries:
+            p, q = v.numerator, v.denominator
+            num.append(p)
+            den.append(q)
+            if q != 1 or (p != 1 and p != -1):
+                unit[r] = False
+        bounded = self.bounded = [False] * matrix.n_cols
+        for r, c in zip(self.row_of, self.col_of):
+            if unit[r]:
+                bounded[c] = True
 
     def _is_unit(self, row: tuple[int, ...]) -> bool:
         num, den = self.num, self.den
@@ -83,7 +94,9 @@ class _Workspace:
             unit, row_of = self.unit, self.row_of
             for e in self.rows[i]:
                 j = self.col_of[e]
-                self.bounded[j] = any(unit[row_of[f]] for f in self.cols[j])
+                # A unit row bounds its columns; a column that loses one
+                # looks for another.
+                self.bounded[j] = new_unit or any(unit[row_of[f]] for f in self.cols[j])
 
     def scale_row(self, i: int, p: int, q: int) -> None:
         for e in self.rows[i]:
@@ -122,20 +135,25 @@ class _Workspace:
 
 
 def _simple_pass(ws: _Workspace) -> None:
+    num, den, unit = ws.num, ws.den, ws.unit
     for i, row in enumerate(ws.rows):
-        if ws.unit[i]:
+        if unit[i]:
             continue  # empty, or every magnitude is already 1
-        magnitudes = ws.magnitudes(row)
-        if len(magnitudes) == 1:
-            ws.scale_row(i, *magnitudes.pop())
+        # A row's entries are contiguous; they share one magnitude exactly
+        # when they share one denominator and one absolute numerator.
+        dens = set(den[row.start:row.stop])
+        nums = set(map(abs, num[row.start:row.stop]))
+        if len(dens) == 1 and len(nums) == 1:
+            ws.scale_row(i, nums.pop(), dens.pop())
 
 
 def _extended_pass(ws: _Workspace) -> None:
+    unit, bounded_col, col_of = ws.unit, ws.bounded, ws.col_of
     for c in range(ws.matrix.n_rows):
-        if ws.unit[c]:
+        if unit[c]:
             continue
         row_entries = ws.rows[c]
-        bounded_entries = [e for e in row_entries if ws.bounded[ws.col_of[e]]]
+        bounded_entries = [e for e in row_entries if bounded_col[col_of[e]]]
         if not bounded_entries:
             for e in row_entries:
                 ws.scale_col_by(e)

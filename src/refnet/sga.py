@@ -312,22 +312,31 @@ def forest_dfs(
 def switch_set_from_forest(forest: SpanningForest) -> frozenset[int]:
     """Vertices whose root path carries an odd number of negative edges.
 
-    Switching this set renders every tree edge positive.
+    Switching this set renders every tree edge positive.  A vertex takes
+    its parent's parity, flipped across a negative tree edge, in one step
+    once the parent has one; a vertex met before its parent first settles
+    the chain of unsettled ancestors above it, top-down.
     """
-    n, parent, parent_sign = forest.n, forest.parent, forest.parent_sign
-    parity: list[int | None] = [None] * n
+    n, parent = forest.n, forest.parent
+    negative = [sign < 0 for sign in forest.parent_sign]
+    odd = [0 if p < 0 else -1 for p in parent]  # -1: not settled yet
     for v in range(n):
-        chain = []
-        x = v
-        while parity[x] is None and parent[x] != -1:
+        if odd[v] >= 0:
+            continue
+        p = odd[parent[v]]
+        if p >= 0:
+            odd[v] = p ^ negative[v]
+            continue
+        chain = [v]
+        x = parent[v]
+        while odd[x] < 0:
             chain.append(x)
             x = parent[x]
-        if parity[x] is None:
-            parity[x] = 0
+        p = odd[x]
         for y in reversed(chain):
-            flip = 1 if parent_sign[y] == -1 else 0
-            parity[y] = parity[parent[y]] ^ flip
-    return frozenset(v for v in range(n) if parity[v] == 1)
+            p ^= negative[y]
+            odd[y] = p
+    return frozenset([v for v in range(n) if odd[v]])
 
 
 def greedy_independent_set(adjacency: Sequence[Sequence[int]]) -> set[int]:

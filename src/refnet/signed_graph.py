@@ -16,7 +16,6 @@ reflected networks, and the balancing switch tells which rows to reflect;
 
 from __future__ import annotations
 
-from collections import deque
 from functools import cached_property
 from typing import Iterable, NamedTuple, Sequence
 
@@ -82,16 +81,17 @@ class SignedGraph(_SignedGraphFields):
         pair_masks: dict[tuple[int, int], int],
         tags: Sequence[int] | None = None,
     ) -> "SignedGraph":
-        adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+        # A mask fits in two bits, so one int sorts as the (neighbor, mask) pair.
+        adj: list[list[int]] = [[] for _ in range(n)]
         for (u, v), mask in pair_masks.items():
-            adj[u].append((v, mask))
-            adj[v].append((u, mask))
+            adj[u].append(v << 2 | mask)
+            adj[v].append(u << 2 | mask)
         neighbors = []
         masks = []
-        for items in adj:
-            items.sort()
-            neighbors.append(tuple(x for x, _ in items))
-            masks.append(tuple(m for _, m in items))
+        for keys in adj:
+            keys.sort()
+            neighbors.append(tuple([k >> 2 for k in keys]))
+            masks.append(tuple([k & 3 for k in keys]))
         if tags is None:
             tags = range(n)
         return cls(n, tuple(tags), tuple(neighbors), tuple(masks))
@@ -173,7 +173,13 @@ def build_signed_graph(matrix: SparseMatrix) -> SignedGraph:
     Non-(0,±1)-rows are dropped; ``tags`` maps each vertex back to its
     matrix row index.  For every column, row pairs with opposite entries get
     a positive edge and pairs with equal entries a negative edge.
+
+    The graph is built once per matrix and kept on it, so a caller that
+    asks again (:func:`extract_network` after the heuristic) pays nothing.
     """
+    known = vars(matrix).get("_signed_graph")
+    if known is not None:
+        return known
     unit = classify_rows(matrix)
     verts = [i for i, is_unit in enumerate(unit) if is_unit]
     vertex_of_row = [-1] * matrix.n_rows
@@ -197,15 +203,10 @@ def build_signed_graph(matrix: SparseMatrix) -> SignedGraph:
             for vb in downs:
                 key = (va, vb) if va < vb else (vb, va)
                 pair_masks[key] = pair_masks.get(key, 0) | POS
-    return SignedGraph._from_pair_masks(len(verts), pair_masks, verts)
-
-
-def _signs_of(mask: int) -> tuple[int, ...]:
-    if mask == POS:
-        return (1,)
-    if mask == NEG:
-        return (-1,)
-    return (1, -1)
+    graph = vars(matrix)["_signed_graph"] = SignedGraph._from_pair_masks(
+        len(verts), pair_masks, verts
+    )
+    return graph
 
 
 def _witness_cycle(
@@ -243,30 +244,35 @@ def is_balanced(graph: SignedGraph) -> BalanceCertificate:
     set of vertices labelled 1; switching it removes all negative edges.
     """
     n, neighbors, masks = graph.n, graph.neighbors, graph.masks
-    label: list[int | None] = [None] * n
+    label = [-1] * n
     parent = [-1] * n
     parent_sign = [0] * n
     depth = [0] * n
     for start in range(n):
-        if label[start] is not None:
+        if label[start] >= 0:
             continue
         label[start] = 0
-        queue = deque([start])
-        while queue:
-            v = queue.popleft()
+        queue = [start]
+        for v in queue:
+            lv = label[v]
             for u, mask in zip(neighbors[v], masks[v]):
-                for sign in _signs_of(mask):
-                    want = label[v] if sign == 1 else 1 - label[v]
-                    if label[u] is None:
-                        label[u] = want
-                        parent[u] = v
-                        parent_sign[u] = sign
-                        depth[u] = depth[v] + 1
-                        queue.append(u)
-                    elif label[u] != want:
-                        witness = _witness_cycle(u, v, sign, parent, parent_sign, depth)
-                        return BalanceCertificate(witness=witness)
-    switch_set = frozenset(v for v in range(n) if label[v] == 1)
+                # A +/- pair is tried through its positive edge first.
+                sign = -1 if mask == NEG else 1
+                want = lv if sign == 1 else 1 - lv
+                if label[u] < 0:
+                    label[u] = want
+                    parent[u] = v
+                    parent_sign[u] = sign
+                    depth[u] = depth[v] + 1
+                    queue.append(u)
+                elif label[u] != want:
+                    witness = _witness_cycle(u, v, sign, parent, parent_sign, depth)
+                    return BalanceCertificate(witness=witness)
+                if mask == POS | NEG:
+                    # u now carries lv, which the pair's negative edge forbids.
+                    witness = _witness_cycle(u, v, -1, parent, parent_sign, depth)
+                    return BalanceCertificate(witness=witness)
+    switch_set = frozenset([v for v in range(n) if label[v] == 1])
     return BalanceCertificate(switch_set=switch_set)
 
 
@@ -339,7 +345,8 @@ def induced_subgraph(graph: SignedGraph, vertices: Iterable[int]) -> SignedGraph
 
     Vertices are compacted in ascending order; ``tags`` maps back to the
     input graph's vertex ids.  Each adjacency list is the parent's, already
-    ascending, filtered through the compacted positions.
+    ascending, filtered through the compacted positions; a vertex that keeps
+    every neighbor keeps its mask tuple.
     """
     n, graph_neighbors, graph_masks = graph.n, graph.neighbors, graph.masks
     verts = sorted(set(vertices))
@@ -351,9 +358,13 @@ def induced_subgraph(graph: SignedGraph, vertices: Iterable[int]) -> SignedGraph
     neighbors = []
     masks = []
     for v in verts:
-        kept = [(pos[u], m) for u, m in zip(graph_neighbors[v], graph_masks[v]) if pos[u] >= 0]
-        neighbors.append(tuple([j for j, _ in kept]))
-        masks.append(tuple([m for _, m in kept]))
+        kept = [pos[u] for u in graph_neighbors[v]]
+        if -1 in kept:
+            masks.append(tuple([m for m, j in zip(graph_masks[v], kept) if j >= 0]))
+            kept = [j for j in kept if j >= 0]
+        else:
+            masks.append(graph_masks[v])  # every neighbor stays
+        neighbors.append(tuple(kept))
     return SignedGraph(len(verts), tuple(verts), tuple(neighbors), tuple(masks))
 
 

@@ -4,10 +4,11 @@ from __future__ import annotations
 
 import itertools
 import random
+from collections import deque
 from fractions import Fraction
 
 from refnet.exact import _ORACLE_LIMIT, vertex_cover
-from refnet.matrix_io import SparseMatrix
+from refnet.matrix_io import MatrixFormatError, SparseMatrix, _decode, _parse_numeral
 from refnet.scaling import _extended_pass, _Workspace
 from refnet.sga import (
     HeuristicResult,
@@ -20,7 +21,9 @@ from refnet.sga import (
 from refnet.signed_graph import (
     NEG,
     POS,
+    BalanceCertificate,
     SignedGraph,
+    _witness_cycle,
     induced_subgraph,
     is_balanced,
 )
@@ -195,7 +198,7 @@ def reference_induced_subgraph(graph: SignedGraph, vertices) -> SignedGraph:
         for u, m in zip(graph.neighbors[v], graph.masks[v]):
             if v < u and u in index:
                 pair_masks[(index[v], index[u])] = m
-    return SignedGraph._from_pair_masks(len(verts), pair_masks, verts)
+    return reference_from_pair_masks(len(verts), pair_masks, verts)
 
 
 def negative_subgraph(graph: SignedGraph) -> SignedGraph:
@@ -486,3 +489,226 @@ def write_mps(matrix: SparseMatrix, name: str = "TEST") -> str:
     lines.append("RHS")
     lines.append("ENDATA")
     return "\n".join(lines) + "\n"
+
+
+# ---------------------------------------------------------------------------
+# Reference parsers: the tuple-keyed parsers that coerce and sort through
+# ``SparseMatrix.from_entries``, kept as oracles for the one-pass ones.
+
+
+def _reference_numeral(token: str, line_no: int, memo: dict[str, Fraction]) -> Fraction:
+    value = memo.get(token)
+    if value is None:
+        value = memo[token] = _parse_numeral(token, line_no)
+    return value
+
+
+def reference_parse_coord(text: str | bytes) -> SparseMatrix:
+    text = _decode(text)
+    numerals: dict[str, Fraction] = {}
+    header: tuple[int, int, int] | None = None
+    entries: list = []
+    seen: set[tuple[int, int]] = set()
+    for line_no, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("%"):
+            continue
+        tokens = line.split()
+        if header is None:
+            if len(tokens) != 3:
+                raise MatrixFormatError("header must be 'n_rows n_cols n_entries'", line_no)
+            try:
+                header = (int(tokens[0]), int(tokens[1]), int(tokens[2]))
+            except ValueError:
+                raise MatrixFormatError("header fields must be integers", line_no) from None
+            if min(header) < 0:
+                raise MatrixFormatError("header fields must be non-negative", line_no)
+            continue
+        if len(tokens) != 3:
+            raise MatrixFormatError("expected 'row col value'", line_no)
+        n_rows, n_cols, n_entries = header
+        if len(entries) >= n_entries:
+            raise MatrixFormatError("more entries than declared in header", line_no)
+        try:
+            r, c = int(tokens[0]) - 1, int(tokens[1]) - 1
+        except ValueError:
+            raise MatrixFormatError("indices must be integers", line_no) from None
+        if not (0 <= r < n_rows and 0 <= c < n_cols):
+            raise MatrixFormatError(f"index ({r + 1}, {c + 1}) out of range", line_no)
+        if (r, c) in seen:
+            raise MatrixFormatError(f"duplicate entry at ({r + 1}, {c + 1})", line_no)
+        value = _reference_numeral(tokens[2], line_no, numerals)
+        if not value:
+            raise MatrixFormatError(f"zero value at ({r + 1}, {c + 1})", line_no)
+        seen.add((r, c))
+        entries.append((r, c, value))
+    if header is None:
+        raise MatrixFormatError("empty input, missing header")
+    if len(entries) != header[2]:
+        raise MatrixFormatError(f"expected {header[2]} entries, found {len(entries)}")
+    return SparseMatrix.from_entries(header[0], header[1], entries)
+
+
+_MPS_SECTIONS = {"NAME", "ROWS", "COLUMNS", "RHS", "RANGES", "BOUNDS", "ENDATA"}
+
+
+def reference_parse_mps(text: str | bytes) -> SparseMatrix:
+    text = _decode(text)
+    numerals: dict[str, Fraction] = {}
+    row_type: dict[str, str] = {}
+    row_index: dict[str, int] = {}
+    row_names: list[str] = []
+    col_index: dict[str, int] = {}
+    col_names: list[str] = []
+    entries: list = []
+    seen: set[tuple[int, int]] = set()
+    section: str | None = None
+    saw_endata = False
+    for line_no, raw in enumerate(text.splitlines(), start=1):
+        if saw_endata:
+            break
+        if not raw.strip() or raw.lstrip().startswith("*"):
+            continue
+        if raw[0] not in " \t":
+            tokens = raw.split()
+            keyword = tokens[0]
+            if keyword not in _MPS_SECTIONS:
+                raise MatrixFormatError(f"unknown section header {keyword!r}", line_no)
+            if keyword == "ENDATA":
+                saw_endata = True
+                continue
+            section = keyword
+            continue
+        tokens = raw.split()
+        if section is None or section == "NAME":
+            raise MatrixFormatError("data line outside any section", line_no)
+        if section == "ROWS":
+            if len(tokens) != 2:
+                raise MatrixFormatError("ROWS line must be 'type name'", line_no)
+            rtype, name = tokens
+            if rtype not in {"N", "L", "G", "E"}:
+                raise MatrixFormatError(f"unknown row type {rtype!r}", line_no)
+            if name in row_type:
+                raise MatrixFormatError(f"row {name!r} declared twice", line_no)
+            row_type[name] = rtype
+            if rtype != "N":
+                row_index[name] = len(row_names)
+                row_names.append(name)
+        elif section == "COLUMNS":
+            if "'MARKER'" in raw:
+                continue
+            if len(tokens) not in (3, 5):
+                raise MatrixFormatError(
+                    "COLUMNS line must be 'col row value [row value]'", line_no
+                )
+            col = tokens[0]
+            if col not in col_index:
+                col_index[col] = len(col_names)
+                col_names.append(col)
+            c = col_index[col]
+            for row_name, value_token in zip(tokens[1::2], tokens[2::2]):
+                if row_name not in row_type:
+                    raise MatrixFormatError(f"undeclared row {row_name!r}", line_no)
+                value = _reference_numeral(value_token, line_no, numerals)
+                if row_type[row_name] == "N":
+                    continue
+                if not value:
+                    raise MatrixFormatError(
+                        f"explicit zero for row {row_name!r}, column {col!r}", line_no
+                    )
+                r = row_index[row_name]
+                if (r, c) in seen:
+                    raise MatrixFormatError(
+                        f"duplicate entry for row {row_name!r}, column {col!r}", line_no
+                    )
+                seen.add((r, c))
+                entries.append((r, c, value))
+        elif section in ("RHS", "RANGES"):
+            if len(tokens) not in (3, 5):
+                raise MatrixFormatError(f"{section} line must be 'name row value [row value]'", line_no)
+            for row_name, value_token in zip(tokens[1::2], tokens[2::2]):
+                if row_name not in row_type:
+                    raise MatrixFormatError(f"undeclared row {row_name!r}", line_no)
+                _reference_numeral(value_token, line_no, numerals)
+        elif section == "BOUNDS":
+            if len(tokens) not in (3, 4):
+                raise MatrixFormatError("BOUNDS line must be 'type name col [value]'", line_no)
+            if len(tokens) == 4:
+                _reference_numeral(tokens[3], line_no, numerals)
+    if not saw_endata:
+        raise MatrixFormatError("missing ENDATA")
+    return SparseMatrix.from_entries(len(row_names), len(col_names), entries, row_names, col_names)
+
+
+def reference_row_nonzeros(matrix: SparseMatrix) -> tuple[tuple[int, ...], ...]:
+    """Per-row entry indices by bucketing every entry under its row."""
+    rows: list[list[int]] = [[] for _ in range(matrix.n_rows)]
+    for i, (r, _, _) in enumerate(matrix.entries):
+        rows[r].append(i)
+    return tuple(tuple(ix) for ix in rows)
+
+
+# ---------------------------------------------------------------------------
+# Reference graph layer: the balance test, pair-mask constructor and switch
+# set as first written, kept as oracles for the faster ones.
+
+
+def reference_from_pair_masks(n: int, pair_masks: dict[tuple[int, int], int], tags=None) -> SignedGraph:
+    """``SignedGraph._from_pair_masks`` sorting (neighbor, mask) tuples."""
+    adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    for (u, v), mask in pair_masks.items():
+        adj[u].append((v, mask))
+        adj[v].append((u, mask))
+    neighbors = []
+    masks = []
+    for items in adj:
+        items.sort()
+        neighbors.append(tuple(x for x, _ in items))
+        masks.append(tuple(m for _, m in items))
+    return SignedGraph(n, tuple(range(n) if tags is None else tags), tuple(neighbors), tuple(masks))
+
+
+def reference_is_balanced(graph: SignedGraph) -> BalanceCertificate:
+    """``is_balanced`` trying each edge of a pair through a per-mask sign tuple."""
+    n, neighbors, masks = graph.n, graph.neighbors, graph.masks
+    label: list[int | None] = [None] * n
+    parent = [-1] * n
+    parent_sign = [0] * n
+    depth = [0] * n
+    for start in range(n):
+        if label[start] is not None:
+            continue
+        label[start] = 0
+        queue = deque([start])
+        while queue:
+            v = queue.popleft()
+            for u, mask in zip(neighbors[v], masks[v]):
+                for sign in {POS: (1,), NEG: (-1,)}.get(mask, (1, -1)):
+                    want = label[v] if sign == 1 else 1 - label[v]
+                    if label[u] is None:
+                        label[u] = want
+                        parent[u] = v
+                        parent_sign[u] = sign
+                        depth[u] = depth[v] + 1
+                        queue.append(u)
+                    elif label[u] != want:
+                        witness = _witness_cycle(u, v, sign, parent, parent_sign, depth)
+                        return BalanceCertificate(witness=witness)
+    return BalanceCertificate(switch_set=frozenset(v for v in range(n) if label[v] == 1))
+
+
+def reference_switch_set_from_forest(forest) -> frozenset[int]:
+    """The switch set by walking every vertex's parent chain up to a known parity."""
+    n, parent, parent_sign = forest.n, forest.parent, forest.parent_sign
+    parity: list[int | None] = [None] * n
+    for v in range(n):
+        chain = []
+        x = v
+        while parity[x] is None and parent[x] != -1:
+            chain.append(x)
+            x = parent[x]
+        if parity[x] is None:
+            parity[x] = 0
+        for y in reversed(chain):
+            parity[y] = parity[parent[y]] ^ (1 if parent_sign[y] == -1 else 0)
+    return frozenset(v for v in range(n) if parity[v] == 1)

@@ -30,6 +30,7 @@ from refnet.exact import (
     subdivide_positive,
     vertex_cover,
 )
+from refnet.flow import SeparatorSolver
 from refnet.signed_graph import NEG, POS, SignedGraph, induced_subgraph, is_balanced
 
 
@@ -95,8 +96,10 @@ out = {
     "debug": __debug__,
     # An empty transversal leaves the triangle, or a +/- pair, for the
     # reference labelling.
-    "coloring": run(lambda: exact._compress_transversal(signed_triangle, 3, [], 0, None, {})),
-    "pair": run(lambda: exact._compress_transversal(plus_minus_pair, 2, [], 0, None, {})),
+    "coloring": run(lambda: exact._compress_transversal(
+        signed_triangle, SeparatorSolver(3, triangle), 3, [], 0, None, {})),
+    "pair": run(lambda: exact._compress_transversal(
+        plus_minus_pair, SeparatorSolver(2, [[1], [0]]), 2, [], 0, None, {})),
     "separator": run(false_flow),
 }
 exact._compress_transversal = lambda *args: set()
@@ -351,6 +354,29 @@ class TestMbdExact:
             for combo in itertools.combinations(range(g.n), result.k - 1):
                 kept = [v for v in range(g.n) if v not in combo]
                 assert not is_balanced(induced_subgraph(g, kept)).balanced
+
+
+def test_one_flow_network_per_solve(monkeypatch):
+    # Every compression of one solve shares a single flow network.
+    built = []
+    init = SeparatorSolver.__init__
+
+    def counting(self, n, adjacency):
+        built.append(n)
+        init(self, n, adjacency)
+
+    monkeypatch.setattr(SeparatorSolver, "__init__", counting)
+    rng = random.Random(34)
+    for _ in range(5):
+        n = rng.randint(40, 80)
+        g = planted_graph(rng, n, n_edges=2 * n, n_bad=rng.randint(2, 6), sabotage=6)
+        built.clear()
+        result = mbd_exact(g)
+        assert result.k >= 2 and result.nodes_explored > 0  # it compressed
+        assert built == [g.n]
+        built.clear()
+        odd_cycle_transversal(simple_adjacency(rng, n_max=20, p=0.4), 20)
+        assert len(built) == 1
 
 
 def test_planted_instance_at_benchmark_scale():

@@ -145,3 +145,47 @@ class TestSeparator:
                     assert fresh is not None and len(fresh) == best
                     assert fresh == sorted(fresh)
                     assert is_separator(adj, sources, sinks, fresh)
+
+
+class TestClosedVertices:
+    def test_closed_vertex_on_the_only_path(self):
+        # in(1) is reached from the source, but the closed vertex carries no
+        # flow, so it is no part of the separator.
+        adj = [[1], [0, 2], [1]]
+        solver = SeparatorSolver(3, adj)
+        solver.close(1)
+        assert solver.solve([0], [2], 0) == []
+        solver.open(1)
+        assert solver.solve([0], [2], 0) is None
+        assert solver.solve([0], [2], 1) == [0]  # the cut nearest the source
+
+    def test_matches_fresh_solve_on_the_open_subgraph(self):
+        rng = random.Random(43)
+        bordered = 0
+        for _ in range(80):
+            adj = simple_adjacency(rng, n_max=10, p=0.4)
+            n = len(adj)
+            closed = {v for v in range(n) if rng.random() < 0.3}
+            kept = [v for v in range(n) if v not in closed]
+            index = {v: i for i, v in enumerate(kept)}
+            sub_adj = [[index[u] for u in adj[v] if u in index] for v in kept]
+            solver = SeparatorSolver(n, adj)
+            for v in closed:
+                solver.close(v)
+            sub_solver = SeparatorSolver(len(kept), sub_adj)
+            residual = solver.residual()
+            sources: set[int] = set()
+            sinks: set[int] = set()
+            for _ in range(3):
+                sources |= {v for v in kept if rng.random() < 0.25}
+                sinks |= {v for v in kept if rng.random() < 0.25}
+                limit = rng.randint(0, len(kept))
+                fresh = sub_solver.solve(
+                    sorted(index[v] for v in sources), sorted(index[v] for v in sinks), limit
+                )
+                expected = None if fresh is None else [kept[i] for i in fresh]
+                assert solver.solve(sorted(sources), sorted(sinks), limit) == expected
+                assert solver.solve(sorted(sources), sorted(sinks), limit, residual) == expected
+            # A closed vertex next to a source borders the reachable region.
+            bordered += any(u in closed for v in sources for u in adj[v])
+        assert bordered > 20

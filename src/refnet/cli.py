@@ -132,37 +132,29 @@ def cmd_exact(args: argparse.Namespace) -> int:
     try:
         result = mbd_exact(graph, k_max=args.max_k, cancel=token)
     except DeletionBudgetError as exc:
-        payload = {
-            "instance": path.stem,
-            "n": graph.n,
-            "status": "max-k-exhausted",
-            "k": "---",
-            "lower_bound": args.max_k + 1,
-            "detail": str(exc),
-        }
-        _emit(payload, args.out, sys.stdout)
-        return 0
-    if result.status == "timeout":
-        payload = {
-            "instance": path.stem,
-            "n": graph.n,
-            "status": "timeout",
-            "k": "---",
-            "lower_bound": result.lower_bound,
-            "elapsed_s": round(result.elapsed, 4),
-        }
+        status, k, lower_bound = "max-k-exhausted", "---", args.max_k + 1
+        tail = {"detail": str(exc)}
     else:
-        deletion_rows = [graph.tags[v] for v in result.deletion]
-        payload = {
-            "instance": path.stem,
-            "n": graph.n,
-            "status": result.status,
-            "k": result.k,
-            "lower_bound": result.lower_bound,
-            "deleted_rows": _row_names(matrix, deletion_rows),
-            "elapsed_s": round(result.elapsed, 4),
-            "splits_explored": result.nodes_explored,
-        }
+        status, lower_bound = result.status, result.lower_bound
+        elapsed = round(result.elapsed, 4)
+        if status == "timeout":
+            k, tail = "---", {"elapsed_s": elapsed}
+        else:
+            k = result.k
+            deletion_rows = [graph.tags[v] for v in result.deletion]
+            tail = {
+                "deleted_rows": _row_names(matrix, deletion_rows),
+                "elapsed_s": elapsed,
+                "splits_explored": result.nodes_explored,
+            }
+    payload = {
+        "instance": path.stem,
+        "n": graph.n,
+        "status": status,
+        "k": k,
+        "lower_bound": lower_bound,
+        **tail,
+    }
     _emit(payload, args.out, sys.stdout)
     return 0
 
@@ -237,9 +229,7 @@ def _bench_one(path_str: str, seed: int, timeout: float, no_scaling: bool) -> Be
     )
 
 
-def _fmt(value, digits: int = 2) -> str:
-    if value is None:
-        return ""
+def _fmt(value: float, digits: int = 2) -> str:
     if isinstance(value, float):
         return f"{value:.{digits}f}"
     return str(value)

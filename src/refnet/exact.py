@@ -226,7 +226,6 @@ def _compress_transversal(
     flow runs.
     """
     xs = sorted(transversal)
-    x_set = set(xs)
 
     # Reference labelling of the transversal-free part (balanced by the
     # compression invariant): a parity-p edge joins labels that differ by p.
@@ -267,7 +266,7 @@ def _compress_transversal(
         for u, p in adjacency[x]:
             if u >= upto:
                 continue
-            if u in x_set:
+            if u in x_pos:
                 j = x_pos[u]
                 if j < i:
                     x_nbrs[i].append((j, p))
@@ -354,14 +353,19 @@ def _balancing_transversal(
     ``adjacency[v]`` lists ``(u, p)`` pairs, p the edge parity; a +/- pair is
     listed once with each parity.  One pass of iterative compression over
     vertices in ascending order; a parity union-find tracks balance of the
-    transversal-free part between compressions.  The budget rises by one
-    each time a compression fails; ``stats["lower_bound"]`` holds it.
+    transversal-free part between compressions.
+
+    Between insertions the transversal holds exactly ``stats["lower_bound"]``
+    vertices, a proven lower bound.  Each compression starts from one vertex
+    more, with the lower bound as its budget: success returns exactly the
+    budget (no later prefix needs fewer vertices than an earlier one), and
+    failure proves the overflowing size, to which the lower bound rises.
 
     One flow network over all vertices serves every compression: a vertex
     opens in it when it is inserted outside the transversal and closes when
     it joins the transversal.
     """
-    budget = stats["lower_bound"] = 0
+    stats["lower_bound"] = 0
     n = len(adjacency)
     in_transversal = [False] * n
     transversal: list[int] = []
@@ -412,16 +416,14 @@ def _balancing_transversal(
             continue
         transversal.append(v)
         in_transversal[v] = True
-        if len(transversal) <= budget:
-            continue
         compressed = _compress_transversal(
-            adjacency, solver, v + 1, transversal, budget, cancel, stats
+            adjacency, solver, v + 1, transversal, len(transversal) - 1, cancel, stats
         )
         if compressed is None:
-            # The prefix needs budget + 1 vertices, so the whole graph does
-            # too; the overflowing transversal stays valid for the prefix.
-            budget = stats["lower_bound"] = budget + 1
-            if budget > k:
+            # The prefix needs all of them, so the whole graph does too; the
+            # overflowing transversal stays valid for the prefix.
+            stats["lower_bound"] = len(transversal)
+            if len(transversal) > k:
                 return None
             continue
         for w in transversal:

@@ -370,20 +370,18 @@ def greedy_independent_set(adjacency: Sequence[Sequence[int]]) -> set[int]:
 
 def _negative_structure(
     graph: SignedGraph,
-    switch_set: frozenset[int],
+    inside: Sequence[bool],
     order: Sequence[int] | None = None,
 ) -> tuple[list[int], list[list[int]]]:
     """Vertices and adjacency of the negative subgraph of the switched graph.
 
-    Computed from the original masks in one scan of ``graph.pairs``, without
-    materializing the switched graph.  The vertices are listed in ascending
-    rank (position in ``order``, default the identity) and the adjacency
-    holds positions in that list, ascending.
+    ``inside[v]`` says whether v is in the switch set.  Computed from the
+    original masks in one scan of ``graph.pairs``, without materializing the
+    switched graph.  The vertices are listed in ascending rank (position in
+    ``order``, default the identity) and the adjacency holds positions in
+    that list, ascending.
     """
     n = graph.n
-    inside = [False] * n
-    for v in switch_set:
-        inside[v] = True
     # A single-sign edge is negative after the switch when it is positive
     # and crosses the switch set, or negative and does not.
     negative = [
@@ -425,23 +423,21 @@ def _build_forest(
 def _certified_reflection(
     graph: SignedGraph,
     keep: list[bool],
-    flips: frozenset[int],
+    inside: Sequence[bool],
     order: Sequence[int] | None,
 ) -> frozenset[int]:
     """Check the retained set against the forest's switch set; its reflection.
 
-    Every edge between retained vertices must be positive after switching
-    ``flips``, which makes ``flips`` a balancing switch of the retained
-    subgraph; a violation raises :class:`RuntimeError`.  Components are
-    entered in ascending rank (position in ``order``, default the
-    identity), and the reflection holds the vertices whose ``flips`` side
-    differs from their component's lowest-ranked vertex: the switch set
-    :func:`is_balanced` reports for the same subgraph relabelled by rank.
+    ``inside[v]`` says whether v is in the switch set.  Every edge between
+    retained vertices must be positive after switching that set, which
+    makes it a balancing switch of the retained subgraph; a violation
+    raises :class:`RuntimeError`.  Components are entered in ascending rank
+    (position in ``order``, default the identity), and the reflection holds
+    the vertices whose switch side differs from their component's
+    lowest-ranked vertex: the switch set :func:`is_balanced` reports for the
+    same subgraph relabelled by rank.
     """
     n = graph.n
-    inside = [False] * n
-    for v in flips:
-        inside[v] = True
     for u, v, m in graph.pairs:
         if keep[u] and keep[v] and m != (POS if inside[u] == inside[v] else NEG):
             raise RuntimeError(
@@ -481,8 +477,10 @@ def _pass(
     started = time.perf_counter()
     strategy = strategy.upper()
     forest = _build_forest(graph, strategy, rng, order)
-    flips = switch_set_from_forest(forest)
-    neg_verts, neg_adj = _negative_structure(graph, flips, order)
+    inside = [False] * graph.n
+    for v in switch_set_from_forest(forest):
+        inside[v] = True
+    neg_verts, neg_adj = _negative_structure(graph, inside, order)
     independent = independent_set(neg_adj)
     keep = [True] * graph.n
     for v in neg_verts:
@@ -493,7 +491,7 @@ def _pass(
     return HeuristicResult(
         retained=tuple(retained),
         k=graph.n - len(retained),
-        reflection=_certified_reflection(graph, keep, flips, order),
+        reflection=_certified_reflection(graph, keep, inside, order),
         strategy=strategy,
         repeats=1,
         seed=None,

@@ -217,16 +217,18 @@ def _witness_cycle(
     parent_sign: list[int],
     depth: list[int],
 ) -> tuple[SignedEdge, ...]:
-    """Cycle from the tree paths of u and v plus the conflicting edge (v, u)."""
+    """Cycle from the tree paths of u and v plus the conflicting edge (v, u).
+
+    The tree is breadth-first and v the vertex being scanned, so u is never
+    shallower than v (a shallower u was scanned first and would have met
+    the conflict), and only u's path climbs before both climb together.
+    """
     up_u: list[SignedEdge] = []
     up_v: list[SignedEdge] = []
     a, b = u, v
     while depth[a] > depth[b]:
         up_u.append((a, parent[a], parent_sign[a]))
         a = parent[a]
-    while depth[b] > depth[a]:
-        up_v.append((b, parent[b], parent_sign[b]))
-        b = parent[b]
     while a != b:
         up_u.append((a, parent[a], parent_sign[a]))
         up_v.append((b, parent[b], parent_sign[b]))

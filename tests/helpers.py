@@ -87,6 +87,33 @@ def planted_graph(rng, n, n_edges, n_bad, sabotage=16) -> SignedGraph:
     return SignedGraph.from_edges(n, sorted(edges))
 
 
+def frustrated_graph(n: int, d: float, f: int, seed: int) -> SignedGraph:
+    """Balanced random graph of average degree ``d`` with ``f`` signs flipped.
+
+    A random two-labelling, a random spanning tree plus random edges up to
+    ``n * d / 2``, each signed as the labelling implies; then ``f`` distinct
+    edges have their sign flipped, so the optimum is at most ``f``.  Unlike
+    on planted graphs, the disjoint-cycle packing bound often falls short
+    of the optimum here.
+    """
+    rng = random.Random(seed)
+    labels = [rng.randint(0, 1) for _ in range(n)]
+    order = rng.sample(range(n), n)
+    pairs = set()
+    for i in range(1, n):
+        u, v = order[i], order[rng.randrange(i)]
+        pairs.add((min(u, v), max(u, v)))
+    while len(pairs) < n * d / 2:
+        u, v = rng.sample(range(n), 2)
+        pairs.add((min(u, v), max(u, v)))
+    pairs = sorted(pairs)
+    flipped = set(rng.sample(range(len(pairs)), f))
+    return SignedGraph.from_edges(n, [
+        (u, v, (1 if labels[u] == labels[v] else -1) * (-1 if i in flipped else 1))
+        for i, (u, v) in enumerate(pairs)
+    ])
+
+
 def matrix_realizing(graph: SignedGraph) -> SparseMatrix:
     """Matrix whose signed graph is exactly ``graph`` (one column per edge).
 

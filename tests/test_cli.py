@@ -5,6 +5,7 @@ import json
 import multiprocessing
 import os
 import random
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -74,6 +75,37 @@ class TestExtract:
         payload = json.loads(capsys.readouterr().out)
         assert payload["cover"] == "exact"
         assert payload["k"] == 1
+
+    def test_vc_ignores_repeats_with_a_note(self, fig_coord, capsys):
+        assert main(["extract", str(fig_coord), "--vc", "--repeats", "5", "--out", "json"]) == 0
+        out, err = capsys.readouterr()
+        assert err == "note: --vc runs a single pass; --repeats ignored\n"
+        assert json.loads(out)["cover"] == "exact"
+
+    def test_vc_budget_exhausted_falls_back_to_greedy(self, fig_coord, capsys):
+        # The +/- pair stays negative after any switch, so a cover needs a vertex.
+        assert main(["extract", str(fig_coord), "--vc", "--vc-budget", "0", "--out", "json"]) == 0
+        out, err = capsys.readouterr()
+        assert err.splitlines() == [
+            "exact cover budget exhausted: no vertex cover of size <= 0 found within the budget",
+            "falling back to the greedy independent-set step",
+        ]
+        assert main(["extract", str(fig_coord), "--repeats", "1", "--out", "json"]) == 0
+        plain = json.loads(capsys.readouterr().out)
+        fallback = json.loads(out)
+        assert fallback["cover"] == "greedy"
+        assert fallback.pop("elapsed_s") >= 0 and plain.pop("elapsed_s") >= 0
+        assert fallback == plain
+
+    @pytest.mark.parametrize("suffix,fmt", [("coord", "mps"), ("mps", "coord"), ("txt", "mps")])
+    def test_format_overrides_suffix(self, tmp_path, capsys, suffix, fmt):
+        matrix = matrix_realizing(fig_graph())
+        path = tmp_path / f"fig.{suffix}"
+        path.write_text(write_mps(matrix) if fmt == "mps" else dump_coord(matrix))
+        assert main(["extract", str(path), "--out", "json"]) == 2
+        capsys.readouterr()
+        assert main(["extract", str(path), "--format", fmt, "--out", "json"]) == 0
+        assert json.loads(capsys.readouterr().out)["k"] == 1
 
     def test_mps_input(self, tmp_path, capsys):
         path = tmp_path / "fig.mps"
@@ -194,6 +226,83 @@ class TestExact:
         payload = json.loads(capsys.readouterr().out)
         assert payload["status"] == "max-k-exhausted"
         assert payload["lower_bound"] == 1
+
+    @pytest.mark.parametrize(
+        "flags,expected",
+        [
+            ([], {
+                "table": (
+                    "instance         pin\n"
+                    "n                10\n"
+                    "status           optimal\n"
+                    "k                3\n"
+                    "lower_bound      3\n"
+                    "deleted_rows     R1 R9 R10\n"
+                    "elapsed_s        X\n"
+                    "splits_explored  21\n"
+                ),
+                "json": (
+                    '{\n  "instance": "pin",\n  "n": 10,\n  "status": "optimal",\n'
+                    '  "k": 3,\n  "lower_bound": 3,\n'
+                    '  "deleted_rows": [\n    "R1",\n    "R9",\n    "R10"\n  ],\n'
+                    '  "elapsed_s": X,\n  "splits_explored": 21\n}\n'
+                ),
+                "csv": (
+                    "instance,n,status,k,lower_bound,deleted_rows,elapsed_s,splits_explored\r\n"
+                    "pin,10,optimal,3,3,R1 R9 R10,X,21\r\n"
+                ),
+            }),
+            (["--timeout", "0"], {
+                "table": (
+                    "instance     pin\n"
+                    "n            10\n"
+                    "status       timeout\n"
+                    "k            ---\n"
+                    "lower_bound  0\n"
+                    "elapsed_s    X\n"
+                ),
+                "json": (
+                    '{\n  "instance": "pin",\n  "n": 10,\n  "status": "timeout",\n'
+                    '  "k": "---",\n  "lower_bound": 0,\n  "elapsed_s": X\n}\n'
+                ),
+                "csv": (
+                    "instance,n,status,k,lower_bound,elapsed_s\r\n"
+                    "pin,10,timeout,---,0,X\r\n"
+                ),
+            }),
+            (["--max-k", "0"], {
+                "table": (
+                    "instance     pin\n"
+                    "n            10\n"
+                    "status       max-k-exhausted\n"
+                    "k            ---\n"
+                    "lower_bound  1\n"
+                    "detail       no balanced deletion of size <= 0 exists (cap was k_max)\n"
+                ),
+                "json": (
+                    '{\n  "instance": "pin",\n  "n": 10,\n  "status": "max-k-exhausted",\n'
+                    '  "k": "---",\n  "lower_bound": 1,\n'
+                    '  "detail": "no balanced deletion of size <= 0 exists (cap was k_max)"\n}\n'
+                ),
+                "csv": (
+                    "instance,n,status,k,lower_bound,detail\r\n"
+                    "pin,10,max-k-exhausted,---,1,no balanced deletion of size <= 0 exists"
+                    " (cap was k_max)\r\n"
+                ),
+            }),
+        ],
+        ids=["optimal", "timeout", "max-k-exhausted"],
+    )
+    def test_pinned_output(self, tmp_path, capsys, flags, expected):
+        # The whole text in every format; only the timing value is masked.
+        graph = random_signed_graph(random.Random(10), n_max=10, n_min=8)
+        path = tmp_path / "pin.mps"
+        path.write_text(write_mps(matrix_realizing(graph)))
+        for out, text in expected.items():
+            assert main(["exact", str(path), *flags, "--out", out]) == 0
+            got, timings = re.subn(r"\d+\.\d+", "X", capsys.readouterr().out)
+            assert got == text
+            assert timings == text.count("X")
 
     def test_matches_oracle_through_mps_pipeline(self, tmp_path, capsys):
         rng = random.Random(70)

@@ -13,6 +13,7 @@ import pytest
 
 from helpers import (
     brute_force_oct,
+    frustrated_graph,
     is_bipartite_without,
     milp_mbd,
     planted_graph,
@@ -20,6 +21,7 @@ from helpers import (
     random_signed_graph,
     simple_adjacency,
 )
+import refnet.exact as exact_module
 from refnet.exact import (
     CancelToken,
     DeletionBudgetError,
@@ -379,6 +381,34 @@ def test_one_flow_network_per_solve(monkeypatch):
         assert len(built) == 1
 
 
+def test_every_compression_starts_one_over_its_budget(monkeypatch):
+    # Between insertions the transversal holds exactly the proven lower
+    # bound, so each compression gets budget + 1 vertices, and a success
+    # never returns fewer than the budget.
+    calls = []
+    compress = exact_module._compress_transversal
+
+    def checked(adjacency, solver, upto, transversal, budget, cancel, stats):
+        result = compress(adjacency, solver, upto, transversal, budget, cancel, stats)
+        calls.append((len(transversal), budget, None if result is None else len(result)))
+        return result
+
+    monkeypatch.setattr(exact_module, "_compress_transversal", checked)
+    rng = random.Random(35)
+    for _ in range(10):
+        n = rng.randint(30, 80)
+        mbd_exact(planted_graph(rng, n, n_edges=2 * n, n_bad=rng.randint(1, 6), sabotage=6))
+    for seed in range(6):
+        n = rng.randint(40, 100)
+        mbd_exact(frustrated_graph(n, 3, n // 10, seed))
+    for _ in range(30):
+        adjacency = simple_adjacency(rng, n_max=16, p=0.35)
+        odd_cycle_transversal(adjacency, len(adjacency))
+    assert all(size == budget + 1 for size, budget, _ in calls)
+    assert all(found in (None, budget) for _, budget, found in calls)
+    assert {found is None for _, _, found in calls} == {True, False}
+
+
 def test_planted_instance_at_benchmark_scale():
     # balanced backbone plus a handful of saboteur vertices whose removal
     # restores balance: the optimum is at most the number of saboteurs, and
@@ -430,6 +460,30 @@ class TestVertexCover:
                     assert all(u in cover or v in cover for u, v in edges)
                     break
 
+    @pytest.mark.parametrize(
+        "adj",
+        [
+            [[2, 3], [2, 3, 5], [0, 1, 4], [0, 1, 5], [2, 5], [1, 3, 4]],
+            [[3, 6], [2, 3, 6], [1, 3, 5], [0, 1, 2], [], [2, 6], [0, 1, 5]],
+        ],
+    )
+    def test_minimum_cover_without_the_pivot(self, adj):
+        # No kernel rule fires and no minimum cover holds the first
+        # maximum-degree vertex, so taking it fails and the search returns
+        # through its other branch, which takes the whole neighbourhood.
+        n = len(adj)
+        pivot = max(range(n), key=lambda v: len(adj[v]))
+        edges = [(u, v) for u in range(n) for v in adj[u] if v > u]
+        minimum = [
+            set(combo)
+            for combo in itertools.combinations(range(n), 3)
+            if all(u in combo or v in combo for u, v in edges)
+        ]
+        assert minimum and all(pivot not in c for c in minimum)
+        assert vertex_cover(adj, 2) is None
+        cover = vertex_cover(adj, 3)
+        assert cover in minimum and set(adj[pivot]) <= cover
+
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
             vertex_cover([[1], [0]], -1)
@@ -457,3 +511,5 @@ class TestOracles:
     def test_size_guard(self):
         with pytest.raises(ValueError):
             brute_force_oct([[] for _ in range(25)])
+        with pytest.raises(ValueError, match="oracle limited to 24 vertices"):
+            brute_force_mbd(SignedGraph.from_edges(25, []))

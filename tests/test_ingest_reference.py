@@ -17,6 +17,7 @@ from helpers import (
     reference_parse_mps,
     reference_row_nonzeros,
 )
+from refnet.cli import main
 from refnet.matrix_io import MatrixFormatError, parse_coord, parse_mps
 from refnet.scaling import scale
 
@@ -31,8 +32,19 @@ MPS_DEFECTS = [
     "distant_duplicate",
     "constraint_zero",
     "bad_numeral_first_in_rhs",
+    "rows_field_count",
+    "unknown_row_type",
+    "row_declared_twice",
+    "columns_field_count",
+    "rhs_field_count",
+    "rhs_undeclared_row",
+    "bounds_field_count",
+    "data_outside_section",
 ]
-COORD_DEFECTS = ["duplicate", "zero", "out_of_range", "too_many", "bad_numeral"]
+COORD_DEFECTS = [
+    "duplicate", "zero", "out_of_range", "too_many", "bad_numeral",
+    "negative_header", "short_line",
+]
 
 
 def outcome(parse, text):
@@ -50,7 +62,18 @@ def random_mps(rng: random.Random, defect: str | None) -> str:
     names = [name for _, name in rows]
     n_rows = [name for kind, name in rows if kind == "N"]
     lines = ["NAME          RANDOM", "ROWS"] + [f" {kind}  {name}" for kind, name in rows]
+    if defect == "rows_field_count":
+        bad_row = rng.choice([" L", f" E  R99  {rng.choice(VALUES)}"])
+    elif defect == "unknown_row_type":
+        bad_row = f" {rng.choice('XnB')}  R99"
+    elif defect == "row_declared_twice":
+        bad_row = f" {rng.choice('NLGE')}  {rng.choice(names)}"
+    if defect in ("rows_field_count", "unknown_row_type", "row_declared_twice"):
+        lines.insert(rng.randint(2, len(lines)), bad_row)
+    if defect == "data_outside_section":
+        lines.insert(rng.randint(0, 1), f" {rng.choice('NLGE')}  R99")
     lines.append("COLUMNS")
+    columns_start = len(lines)
     # Each column's (row, token) cells, some emitted in two separate runs.
     columns = []
     for c in range(rng.randint(1, 8)):
@@ -105,9 +128,25 @@ def random_mps(rng: random.Random, defect: str | None) -> str:
                 r1, v1 = cells[i]
                 lines.append(f"    {name}  {r1}  {v1}")
                 i += 1
+    if defect == "columns_field_count":
+        fields = [rng.choice(columns)[0]]
+        for _ in range(3):
+            fields += [rng.choice(names), rng.choice(VALUES)]
+        count = rng.choice([2, 4, 6])
+        lines.insert(rng.randint(columns_start, len(lines)), "    " + "  ".join(fields[:count]))
     lines.append("RHS")
     for _ in range(rng.randint(0, 3)):
         lines.append(f"    RHS  {rng.choice(names)}  {rng.choice(VALUES)}")
+    if defect in ("rhs_field_count", "rhs_undeclared_row"):
+        if rng.random() < 0.5:
+            lines.append("RANGES")
+        pairs = [[rng.choice(names), rng.choice(VALUES)] for _ in range(rng.randint(1, 2))]
+        if defect == "rhs_undeclared_row":
+            rng.choice(pairs)[0] = "NOSUCH"
+        fields = ["RNG"] + [token for pair in pairs for token in pair]
+        if defect == "rhs_field_count":
+            fields = rng.choice([fields[:-1], fields + [rng.choice(names)]])
+        lines.append("    " + "  ".join(fields))
     if defect == "bad_numeral_first_in_rhs":
         bad = rng.choice(BAD)
         lines.append(f"    RHS  {rng.choice(names)}  {bad}")
@@ -116,6 +155,8 @@ def random_mps(rng: random.Random, defect: str | None) -> str:
     else:
         lines.append("BOUNDS")
         lines.append(f" UP BND  {columns[0][0]}  {rng.choice(VALUES)}")
+    if defect == "bounds_field_count":
+        lines.append(rng.choice([" FR BND", f" UP BND  {columns[0][0]}  1  2"]))
     lines.append("ENDATA")
     return "\n".join(lines) + "\n"
 
@@ -145,9 +186,16 @@ def random_coord(rng: random.Random, defect: str | None) -> str:
         i = rng.randrange(len(body))
         r, c, _ = body[i].split()
         body[i] = f"{r} {c} {rng.choice(BAD)}"
+    elif defect == "short_line":
+        r, c = rng.randint(1, n_rows), rng.randint(1, n_cols)
+        body.insert(rng.randrange(len(body) + 1), rng.choice([f"{r} {c}", f"{r} {c} 1 1"]))
+        declared += 1
     if rng.random() < 0.3:
         body.insert(rng.randrange(len(body) + 1), "% comment")
-    return f"{n_rows} {n_cols} {declared}\n" + "\n".join(body) + "\n"
+    header = [n_rows, n_cols, declared]
+    if defect == "negative_header":
+        header[rng.randrange(3)] = -rng.randint(1, 3)
+    return " ".join(map(str, header)) + "\n" + "\n".join(body) + "\n"
 
 
 @pytest.mark.parametrize("defect", [None, *MPS_DEFECTS])
@@ -178,6 +226,26 @@ def test_coord_matches_reference(defect):
         assert errors == 0
     else:
         assert errors > 100
+
+
+@pytest.mark.parametrize(
+    "fmt,defect", [("mps", d) for d in MPS_DEFECTS] + [("coord", d) for d in COORD_DEFECTS]
+)
+def test_extract_reports_each_defect(tmp_path, capsys, fmt, defect):
+    # `refnet extract` exits 2 with the reference parser's message and line.
+    generate, reference = {
+        "mps": (random_mps, reference_parse_mps),
+        "coord": (random_coord, reference_parse_coord),
+    }[fmt]
+    rng = random.Random(f"cli:{defect}")
+    kind, error = "ok", None
+    while kind == "ok":
+        text = generate(rng, defect)
+        kind, error = outcome(reference, text)
+    path = tmp_path / f"bad.{fmt}"
+    path.write_text(text)
+    assert main(["extract", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: {error[0]}\n"
 
 
 def test_matrices_keep_names_and_values():

@@ -60,6 +60,17 @@ class TestSparseMatrix:
         assert sub.n_rows == 2
         assert sub.entries == ((0, 0, Fraction(-2)), (0, 1, Fraction(3)), (1, 1, Fraction(1)))
 
+    @pytest.mark.parametrize(
+        "rows,message",
+        [([1, 2, 1], "duplicate row selected"), ([0, 3], "row 3 out of range"),
+         ([-1], "row -1 out of range")],
+        ids=["repeated", "past-the-end", "negative"],
+    )
+    def test_submatrix_rows_rejects(self, rows, message):
+        m = mat(3, 2, [(0, 0, 1), (1, 0, 2), (1, 1, -3), (2, 1, 1)])
+        with pytest.raises(ValueError, match=message):
+            m.submatrix_rows(rows)
+
 
 class TestClassifyRows:
     def test_mixed(self):

@@ -407,7 +407,8 @@ def test_negative_structure_matches_public_pipeline():
     for _ in range(60):
         g = random_signed_graph(rng)
         flips = frozenset(v for v in range(g.n) if rng.random() < 0.5)
-        verts, adj = _negative_structure(g, flips)
+        inside = [v in flips for v in range(g.n)]
+        verts, adj = _negative_structure(g, inside)
         reference = negative_subgraph(switch(g, flips))
         assert tuple(verts) == reference.tags
         edges = {
@@ -424,7 +425,7 @@ def test_negative_structure_matches_public_pipeline():
         # ascending in that list, so greedy ties go to the lowest rank.
         order = rng.sample(range(g.n), g.n)
         rank = {v: j for j, v in enumerate(order)}
-        verts, adj = _negative_structure(g, flips, order)
+        verts, adj = _negative_structure(g, inside, order)
         assert verts == sorted(reference.tags, key=rank.__getitem__)
         assert all(lst == sorted(lst) for lst in adj)
         assert {

@@ -8,8 +8,10 @@ import pytest
 from helpers import (
     cycle_vertices_distinct,
     edge_in_graph,
+    frustrated_graph,
     is_closed_walk,
     matrix_realizing,
+    milp_mbd,
     negative_subgraph,
     odd_negative_count,
     planted_graph,
@@ -20,7 +22,7 @@ from helpers import (
     switch,
 )
 from refnet.exact import brute_force_mbd, mbd_exact
-from refnet.matrix_io import SparseMatrix, is_network_matrix
+from refnet.matrix_io import SparseMatrix, is_network_matrix, parse_mps
 from refnet.signed_graph import (
     NEG,
     POS,
@@ -53,6 +55,21 @@ class TestBuild:
         m = mat(3, 3, [(0, 0, 1), (0, 1, 1), (1, 0, 1), (1, 1, -1), (2, 1, 1), (2, 2, 1)])
         g = build_signed_graph(m)
         assert g.edges == ((0, 1, 1), (0, 1, -1), (0, 2, -1), (1, 2, 1))
+
+    @pytest.mark.parametrize(
+        "edges,message",
+        [
+            ([(0, 1, 1), (2, 2, -1)], "loop at vertex 2"),
+            ([(0, 3, 1)], r"edge \(0, 3\) out of range"),
+            ([(-1, 1, -1)], r"edge \(-1, 1\) out of range"),
+            ([(0, 1, 0)], "sign must be \\+1 or -1, got 0"),
+            ([(0, 1, 2)], "sign must be \\+1 or -1, got 2"),
+        ],
+        ids=["loop", "high-end", "negative-end", "zero-sign", "two-sign"],
+    )
+    def test_from_edges_rejects(self, edges, message):
+        with pytest.raises(ValueError, match=message):
+            SignedGraph.from_edges(3, edges)
 
     def test_network_matrix_only_positive_edges(self):
         m = mat(3, 3, [(0, 0, 1), (1, 0, -1), (1, 1, 1), (2, 1, -1), (2, 2, 1), (0, 2, -1)])
@@ -269,6 +286,24 @@ class TestDisjointUnbalancedCycles:
             self.check_cycles(g, cycles)
             assert len(cycles) <= mbd_exact(g).k
 
+    def test_at_most_the_optimum_on_frustrated_graphs(self):
+        # Frustrated graphs, unlike planted ones, often leave the packing
+        # bound below k*, so the exact search must prove optimality itself;
+        # the integer program is the independent oracle for both.
+        pytest.importorskip("scipy")
+        rng = random.Random(19)
+        loose = 0
+        for i in range(12):
+            n = rng.randint(40, 100)
+            g = frustrated_graph(n, 3, n // 10, 1900 + i)
+            cycles = disjoint_unbalanced_cycles(g)
+            self.check_cycles(g, cycles)
+            k = mbd_exact(g).k
+            assert k == milp_mbd(g)
+            assert len(cycles) <= k
+            loose += len(cycles) < k
+        assert loose >= 3
+
     def test_empty_exactly_on_balanced_graphs(self):
         rng = random.Random(18)
         graphs = self.graphs() + [random_balanced_graph(rng, n_max=20) for _ in range(60)]
@@ -361,6 +396,20 @@ class TestExtractNetwork:
         with pytest.raises(NotBalancedError) as err:
             extract_network(m, [0, 1, 2, 3])
         assert odd_negative_count(err.value.witness)
+
+    def test_row_names_carried_through(self):
+        m = parse_mps(
+            "NAME T\nROWS\n N  OBJ\n E  A\n L  B\n G  C\n E  D\nCOLUMNS\n"
+            "    X  OBJ  1  A  1\n    X  B  1  C  2\n    Y  B  1  D  1\n"
+            "    Z  A  1  D  -1\nENDATA\n"
+        )
+        net, reflected = extract_network(m, [3, 1, 0])
+        assert reflected == {1}
+        assert net.row_names == ("A", "B", "D")
+        assert net.col_names == ("X", "Y", "Z")
+        assert [net.row_name(r) for r in range(net.n_rows)] == ["A", "B", "D"]
+        assert net.entries == ((0, 0, 1), (0, 2, 1), (1, 0, -1), (1, 1, -1), (2, 1, 1), (2, 2, -1))
+        assert is_network_matrix(net)
 
     def test_non_unit_row_rejected(self):
         m = mat(2, 1, [(0, 0, 1), (1, 0, 2)])

@@ -40,14 +40,13 @@ from __future__ import annotations
 
 import itertools
 import time
-from typing import NamedTuple, Sequence
+from typing import Container, NamedTuple, Sequence
 
 from refnet.flow import Residual, SeparatorSolver
 from refnet.signed_graph import (
     NEG,
     POS,
     SignedGraph,
-    induced_subgraph,
     is_balanced,
 )
 
@@ -207,6 +206,39 @@ def _set_bits(mask: int) -> list[int]:
     return out
 
 
+def _prefix_labels(
+    adjacency: Sequence[Sequence[tuple[int, int]]],
+    upto: int,
+    removed: Container[int],
+    message: str,
+) -> tuple[list[int], list[int]]:
+    """Two-label the components of the first ``upto`` vertices outside ``removed``.
+
+    ``root[v]`` is the lowest vertex of v's component (a removed vertex is
+    its own), labelled 0, and ``parity[v]`` is v's label: a parity-p edge
+    joins labels that differ by p.  A conflict raises ``message``.
+    """
+    root = [v if v in removed else -1 for v in range(upto)]  # -1: not labelled yet
+    parity = [0] * upto
+    for start in range(upto):
+        if root[start] >= 0:
+            continue
+        root[start] = start
+        queue = [start]
+        for x in queue:
+            px = parity[x]
+            for u, p in adjacency[x]:
+                if u >= upto or u in removed:
+                    continue
+                if root[u] < 0:
+                    root[u] = start
+                    parity[u] = px ^ p
+                    queue.append(u)
+                elif parity[u] != px ^ p:
+                    raise RuntimeError(message)
+    return root, parity
+
+
 def _compress_transversal(
     adjacency: Sequence[Sequence[tuple[int, int]]],
     solver: SeparatorSolver,
@@ -226,30 +258,11 @@ def _compress_transversal(
     flow runs.
     """
     xs = sorted(transversal)
+    x_pos = {x: i for i, x in enumerate(xs)}
 
-    # Reference labelling of the transversal-free part (balanced by the
-    # compression invariant): a parity-p edge joins labels that differ by p.
-    # -1 marks a vertex not labelled yet; transversal vertices carry 2 and
-    # are passed over.
-    color = [-1] * upto
-    for x in xs:
-        color[x] = 2
-    for start in range(upto):
-        if color[start] >= 0:
-            continue
-        color[start] = 0
-        queue = [start]
-        for x in queue:
-            cx = color[x]
-            for y, p in adjacency[x]:
-                if y >= upto:
-                    continue
-                cy = color[y]
-                if cy < 0:
-                    color[y] = cx ^ p
-                    queue.append(y)
-                elif cy != 2 and cy != cx ^ p:
-                    raise RuntimeError("transversal invariant broken")
+    # Reference labelling of the transversal-free part, balanced by the
+    # compression invariant.
+    _, color = _prefix_labels(adjacency, upto, x_pos, "transversal invariant broken")
 
     # Keeping x on side s asks label s ^ p of its neighbour over a parity-p
     # edge outside the transversal: a neighbour whose reference label already
@@ -258,7 +271,6 @@ def _compress_transversal(
     # neighbours listed before x are kept for the kept-pair check, which a
     # DROP never fails: DROP ^ value ^ p is never 1.  Terminal sets are
     # bitmasks over vertex ids.
-    x_pos = {x: i for i, x in enumerate(xs)}
     x_nbrs: list[list[tuple[int, int]]] = [[] for _ in xs]
     side_terminals = []
     for i, x in enumerate(xs):
@@ -374,32 +386,6 @@ def _balancing_transversal(
     for v in range(n):
         solver.close(v)
 
-    def rebuild(upto: int) -> None:
-        # Label each component of the transversal-free prefix from its
-        # lowest vertex, which becomes the root of a one-level tree.
-        nonlocal dsu
-        dsu = _ParityDSU(n)
-        parent, parity, rank = dsu.parent, dsu.parity, dsu.rank
-        seen = in_transversal[:upto]
-        for start in range(upto):
-            if seen[start]:
-                continue
-            seen[start] = True
-            queue = [start]
-            for x in queue:
-                px = parity[x]
-                for u, p in adjacency[x]:
-                    if u >= upto or in_transversal[u]:
-                        continue
-                    if not seen[u]:
-                        seen[u] = True
-                        parent[u] = start
-                        parity[u] = px ^ p
-                        queue.append(u)
-                    elif parity[u] != px ^ p:
-                        raise RuntimeError("compressed transversal must leave a balanced graph")
-            rank[start] = int(len(queue) > 1)
-
     for v in range(n):
         if cancel is not None and cancel.expired():
             raise OperationCancelled
@@ -435,7 +421,16 @@ def _balancing_transversal(
                 in_transversal[w] = True
                 solver.close(w)
         transversal = sorted(compressed)
-        rebuild(v + 1)
+        # Each component of the new prefix becomes a one-level tree.
+        roots, labels = _prefix_labels(
+            adjacency, v + 1, compressed, "compressed transversal must leave a balanced graph"
+        )
+        dsu = _ParityDSU(n)
+        dsu.parent[:v + 1] = roots
+        dsu.parity[:v + 1] = labels
+        for w, r in enumerate(roots):
+            if r != w:
+                dsu.rank[r] = 1
     return set(transversal)
 
 
@@ -498,7 +493,7 @@ def mbd_exact(
             f"no balanced deletion of size <= {cap} exists (cap was k_max)"
         )
     kept = [u for u in range(graph.n) if u not in deletion]
-    if not is_balanced(induced_subgraph(graph, kept)).balanced:
+    if not is_balanced(graph, kept).balanced:
         raise RuntimeError("the compressed deletion left the graph unbalanced")
     return ExactResult(
         status="optimal",

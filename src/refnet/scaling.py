@@ -114,8 +114,8 @@ class _Workspace:
         self.scale_col(self.col_of[e], self.num[e], self.den[e])
 
     def to_matrix(self) -> SparseMatrix:
-        # Entries keep the parent's (row, col) order; untouched ones are
-        # reused, and each distinct new value becomes one Fraction.
+        # Entries keep the parent's (row, col) order, and so its indexes;
+        # untouched ones are reused, and each new value becomes one Fraction.
         entries = list(self.matrix.entries)
         made: dict[tuple[int, int], Fraction] = {}
         for e in self.changed:
@@ -125,13 +125,15 @@ class _Workspace:
                 value = made[key] = Fraction(*key)
             r, c, _ = entries[e]
             entries[e] = (r, c, value)
-        return SparseMatrix(
+        scaled = SparseMatrix(
             self.matrix.n_rows,
             self.matrix.n_cols,
             tuple(entries),
             self.matrix.row_names,
             self.matrix.col_names,
         )
+        vars(scaled).update(row_nonzeros=self.rows, col_nonzeros=self.cols)
+        return scaled
 
 
 def _simple_pass(ws: _Workspace) -> None:

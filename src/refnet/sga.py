@@ -14,7 +14,7 @@ scan of the graph's pair list, on the original signs, raises
 positive after the switch, and a walk over the retained subgraph's
 components then reads off the reflection.  The result a caller
 gets from :func:`sga_repeat` is certified once more, independently, by
-:func:`~refnet.signed_graph.is_balanced` on its induced subgraph.
+:func:`~refnet.signed_graph.is_balanced` restricted to its retained set.
 
 Three forest strategies are provided -- random search, breadth-first and
 depth-first -- plus a repetition wrapper that reruns the pass with the
@@ -50,7 +50,6 @@ from refnet.signed_graph import (
     POS,
     SignedGraph,
     disjoint_unbalanced_cycles,
-    induced_subgraph,
     is_balanced,
 )
 
@@ -553,8 +552,8 @@ def sga_repeat(
     the graph itself; repetition 0 keeps the identity order, so one
     repetition reproduces :func:`sga` exactly.  Ties keep the earliest
     repetition, making the best-of sequence monotone in ``repeats`` for a
-    fixed seed.  Only the reported retained set goes through the full
-    :func:`is_balanced` certificate; failing it raises :class:`RuntimeError`.
+    fixed seed.  :func:`is_balanced` certifies the reported retained set
+    alone, on the graph itself; failing it raises :class:`RuntimeError`.
 
     Before a second repetition the graph's
     :func:`~refnet.signed_graph.disjoint_unbalanced_cycles` are counted
@@ -585,7 +584,7 @@ def sga_repeat(
             if best.k <= bound:
                 break
     assert best is not None
-    if not is_balanced(induced_subgraph(graph, best.retained)).balanced:
+    if not is_balanced(graph, best.retained).balanced:
         raise RuntimeError(
             "the best repetition's retained set does not induce a balanced"
             " subgraph; this contradicts its per-pass check and indicates a bug"

@@ -180,19 +180,15 @@ def build_signed_graph(matrix: SparseMatrix) -> SignedGraph:
     known = vars(matrix).get("_signed_graph")
     if known is not None:
         return known
-    unit = classify_rows(matrix)
-    verts = [i for i, is_unit in enumerate(unit) if is_unit]
-    vertex_of_row = [-1] * matrix.n_rows
-    for k, r in enumerate(verts):
-        vertex_of_row[r] = k
-    # Per column, the vertices whose entry there is +1 and -1, ascending
-    # (entries run in row order).  Every value here is ±1, so its numerator
-    # carries the sign.
+    verts = [i for i, is_unit in enumerate(classify_rows(matrix)) if is_unit]
+    # Per column, the vertices whose entry there is +1 and -1, ascending.
+    # Every value here is ±1, so its numerator carries the sign.
     plus: list[list[int]] = [[] for _ in range(matrix.n_cols)]
     minus: list[list[int]] = [[] for _ in range(matrix.n_cols)]
-    for r, c, v in matrix.entries:
-        if unit[r]:
-            (plus if v.numerator > 0 else minus)[c].append(vertex_of_row[r])
+    entries, spans = matrix.entries, matrix.row_nonzeros
+    for k, r in enumerate(verts):
+        for _, c, v in entries[spans[r].start:spans[r].stop]:
+            (plus if v.numerator > 0 else minus)[c].append(k)
     pair_masks: dict[tuple[int, int], int] = {}
     for ups, downs in zip(plus, minus):
         for same in (ups, downs):  # equal entries: negative edges
@@ -237,44 +233,73 @@ def _witness_cycle(
     return tuple(up_u) + down_v + ((v, u, sign),)
 
 
-def is_balanced(graph: SignedGraph) -> BalanceCertificate:
+def _label_component(
+    graph: SignedGraph,
+    start: int,
+    usable: Sequence[bool],
+    label: list[int],
+    parent: list[int],
+    parent_sign: list[int],
+    depth: list[int],
+) -> tuple[list[int], tuple[SignedEdge, ...] | None]:
+    """Two-label the component of ``start`` among the usable vertices.
+
+    Returns the vertices labelled and the first conflict's witness, or None.
+    """
+    neighbors, masks = graph.neighbors, graph.masks
+    label[start] = depth[start] = 0
+    queue = [start]
+    for v in queue:
+        lv = label[v]
+        for u, mask in zip(neighbors[v], masks[v]):
+            if not usable[u]:
+                continue
+            # A +/- pair is tried through its positive edge first.
+            sign = -1 if mask == NEG else 1
+            want = lv if sign == 1 else 1 - lv
+            if label[u] < 0:
+                label[u] = want
+                parent[u] = v
+                parent_sign[u] = sign
+                depth[u] = depth[v] + 1
+                queue.append(u)
+            elif label[u] != want:
+                return queue, _witness_cycle(u, v, sign, parent, parent_sign, depth)
+            if mask == POS | NEG:
+                # u now carries lv, which the pair's negative edge forbids.
+                return queue, _witness_cycle(u, v, -1, parent, parent_sign, depth)
+    return queue, None
+
+
+def is_balanced(graph: SignedGraph, vertices: Iterable[int] | None = None) -> BalanceCertificate:
     """Two-label every component: equal across +, different across -.
 
-    Components are entered in ascending vertex order and neighbors scanned
-    ascending, so the certificate (either kind) is deterministic.  A
-    parallel +/- pair always conflicts.  On success the switch set is the
-    set of vertices labelled 1; switching it removes all negative edges.
+    Only the subgraph induced by ``vertices`` (default: all) is labelled, in
+    place; the certificate names the graph's own ids, and an id out of range
+    raises :class:`ValueError`.  Components are entered in ascending vertex
+    order and neighbors scanned ascending, so the certificate (either kind)
+    is deterministic.  A parallel +/- pair always conflicts.  On success,
+    switching the vertices labelled 1 removes all negative edges.
     """
-    n, neighbors, masks = graph.n, graph.neighbors, graph.masks
+    n = graph.n
+    starts = range(n) if vertices is None else sorted(set(vertices))
+    usable = [False] * n
+    for v in starts:
+        if not 0 <= v < n:
+            raise ValueError(f"vertex {v} out of range")
+        usable[v] = True
     label = [-1] * n
     parent = [-1] * n
     parent_sign = [0] * n
     depth = [0] * n
-    for start in range(n):
-        if label[start] >= 0:
-            continue
-        label[start] = 0
-        queue = [start]
-        for v in queue:
-            lv = label[v]
-            for u, mask in zip(neighbors[v], masks[v]):
-                # A +/- pair is tried through its positive edge first.
-                sign = -1 if mask == NEG else 1
-                want = lv if sign == 1 else 1 - lv
-                if label[u] < 0:
-                    label[u] = want
-                    parent[u] = v
-                    parent_sign[u] = sign
-                    depth[u] = depth[v] + 1
-                    queue.append(u)
-                elif label[u] != want:
-                    witness = _witness_cycle(u, v, sign, parent, parent_sign, depth)
-                    return BalanceCertificate(witness=witness)
-                if mask == POS | NEG:
-                    # u now carries lv, which the pair's negative edge forbids.
-                    witness = _witness_cycle(u, v, -1, parent, parent_sign, depth)
-                    return BalanceCertificate(witness=witness)
-    switch_set = frozenset([v for v in range(n) if label[v] == 1])
+    for start in starts:
+        if label[start] < 0:
+            _, witness = _label_component(
+                graph, start, usable, label, parent, parent_sign, depth
+            )
+            if witness is not None:
+                return BalanceCertificate(witness=witness)
+    switch_set = frozenset([v for v in starts if label[v] == 1])
     return BalanceCertificate(switch_set=switch_set)
 
 
@@ -304,39 +329,21 @@ def disjoint_unbalanced_cycles(graph: SignedGraph) -> tuple[tuple[SignedEdge, ..
             free[u] = free[v] = False
             cycles.append(((u, v, 1), (v, u, -1)))
     # Between free vertices every pair is now single-signed.
-    neighbors, masks = graph.neighbors, graph.masks
     label = [-1] * n
     parent = [-1] * n
     parent_sign = [0] * n
     depth = [0] * n
     for start in range(n):
         while free[start] and label[start] < 0:
-            label[start] = depth[start] = 0
-            queue = [start]  # also the list of labelled vertices, to undo them
-            cycle = None
-            for v in queue:
-                for u, m in zip(neighbors[v], masks[v]):
-                    if not free[u]:
-                        continue
-                    sign = 1 if m == POS else -1
-                    want = label[v] if sign == 1 else 1 - label[v]
-                    if label[u] < 0:
-                        label[u] = want
-                        parent[u] = v
-                        parent_sign[u] = sign
-                        depth[u] = depth[v] + 1
-                        queue.append(u)
-                    elif label[u] != want:
-                        cycle = _witness_cycle(u, v, sign, parent, parent_sign, depth)
-                        break
-                if cycle is not None:
-                    break
+            labelled, cycle = _label_component(
+                graph, start, free, label, parent, parent_sign, depth
+            )
             if cycle is None:
                 break
             cycles.append(cycle)
             for a, _, _ in cycle:
                 free[a] = False
-            for v in queue:
+            for v in labelled:
                 label[v] = -1
     found = vars(graph)["_disjoint_unbalanced_cycles"] = tuple(cycles)
     return found
@@ -391,19 +398,14 @@ def extract_network(
         raise ValueError(
             f"row {exc.args[0]} is not a (0,±1)-row and cannot join a reflected network"
         ) from None
-    sub = induced_subgraph(graph, verts)
-    certificate = is_balanced(sub)
+    certificate = is_balanced(graph, verts)
+    tags = graph.tags
     if not certificate.balanced:
-        assert certificate.witness is not None
-        witness = tuple(
-            (graph.tags[sub.tags[a]], graph.tags[sub.tags[b]], s)
-            for a, b, s in certificate.witness
-        )
+        witness = tuple((tags[a], tags[b], s) for a, b, s in certificate.witness)
         raise NotBalancedError(
             "selected rows do not induce a balanced subgraph", witness
         )
-    tags, sub_tags = graph.tags, sub.tags
-    reflected = frozenset([tags[sub_tags[v]] for v in certificate.switch_set])
+    reflected = frozenset([tags[v] for v in certificate.switch_set])
     network = matrix.submatrix_rows(row_list, flip=reflected)
     if not is_network_matrix(network):
         raise RuntimeError(

@@ -206,20 +206,30 @@ class TestOddCycleTransversal:
             odd_cycle_transversal(complete(8), 3, cancel=token)
 
     def test_cancellation_is_prompt_inside_a_long_compression(self):
-        # pruning makes leaves rare, so the search polls per flow run; a
-        # 60-vertex G(n, 0.12) graph keeps compressing far past 0.3 s
+        # pruning makes leaves rare, so the search polls per 64 flow runs; on
+        # a 60-vertex G(n, 0.12) graph the 51st poll falls inside the
+        # compression at budget 9, and a deadline anywhere in the run would
+        # be seen within the longest gap between two polls
         rng = random.Random(7)
         adj = [[] for _ in range(60)]
         for u, v in itertools.combinations(range(60), 2):
             if rng.random() < 0.12:
                 adj[u].append(v)
                 adj[v].append(u)
+        polled = [time.monotonic()]
+
+        class TimedCancelAfter(CancelAfter):
+            def expired(self) -> bool:
+                polled.append(time.monotonic())
+                return super().expired()
+
         stats = {}
-        started = time.monotonic()
-        with pytest.raises(OperationCancelled):
-            odd_cycle_transversal(adj, 60, CancelToken.after(0.3), stats)
-        assert time.monotonic() - started < 2
-        assert stats["lower_bound"] >= 8
+        with pytest.raises(OperationCancelled) as err:
+            odd_cycle_transversal(adj, 60, TimedCancelAfter(50), stats)
+        assert any(entry.name == "_compress_transversal" for entry in err.traceback)
+        assert len(polled) == 52
+        assert max(b - a for a, b in zip(polled, polled[1:])) < 1.7
+        assert stats["lower_bound"] == 9
 
     def test_rejects_negative_k(self):
         with pytest.raises(ValueError):

@@ -141,6 +141,19 @@ class TestInvariants:
                 (r, c) for r, c, _ in m.entries
             ]
 
+    def test_indexes_carried_over(self):
+        # the scaled matrix keeps its parent's row and column indexes, which
+        # must equal the ones built from its own entries
+        rng = random.Random(4)
+        for _ in range(60):
+            m = random_matrix(rng)
+            out = scale(m)
+            assert out.row_nonzeros is m.row_nonzeros
+            assert out.col_nonzeros is m.col_nonzeros
+            fresh = SparseMatrix(*out)
+            assert out.row_nonzeros == fresh.row_nonzeros
+            assert out.col_nonzeros == fresh.col_nonzeros
+
     def test_unit_count_monotone(self):
         rng = random.Random(5)
         for _ in range(60):

@@ -1,9 +1,12 @@
 from __future__ import annotations
 
 import importlib
+import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import (
     cycle_vertices_distinct,
@@ -158,7 +161,52 @@ class TestSwitch:
             switch(fig_graph(), {9})
 
 
+@st.composite
+def graph_and_vertices(draw):
+    """A random signed graph with +/- pairs, and a vertex list for it that is
+    empty, full, random with repeats, or a random set."""
+    n = draw(st.integers(0, 9))
+    masks = draw(st.lists(
+        st.sampled_from((0, 0, POS, NEG, POS | NEG)),
+        min_size=n * (n - 1) // 2, max_size=n * (n - 1) // 2,
+    ))
+    edges = [
+        (u, v, sign)
+        for (u, v), m in zip(itertools.combinations(range(n), 2), masks)
+        for sign, bit in ((1, POS), (-1, NEG))
+        if m & bit
+    ]
+    ids = st.integers(0, n - 1) if n else st.nothing()
+    vertices = draw(st.one_of(
+        st.just([]), st.just(list(range(n))), st.lists(ids, max_size=2 * n), st.sets(ids).map(list)
+    ))
+    return SignedGraph.from_edges(n, edges), vertices
+
+
 class TestIsBalanced:
+    @settings(max_examples=300, deadline=None)
+    @given(graph_and_vertices())
+    def test_vertex_set_matches_the_induced_subgraph(self, case):
+        g, vertices = case
+        sub = induced_subgraph(g, vertices)
+        want = is_balanced(sub)
+        got = is_balanced(g, vertices)
+        if want.balanced:
+            assert got.switch_set == {sub.tags[v] for v in want.switch_set}
+        else:
+            assert got.witness == tuple((sub.tags[a], sub.tags[b], s) for a, b, s in want.witness)
+
+    @settings(max_examples=100, deadline=None)
+    @given(graph_and_vertices(), st.integers(-20, 20))
+    def test_vertex_out_of_range(self, case, bad):
+        g, vertices = case
+        picks = vertices + [bad if bad < 0 else g.n + bad]
+        with pytest.raises(ValueError) as got:
+            is_balanced(g, picks)
+        with pytest.raises(ValueError) as want:
+            induced_subgraph(g, picks)
+        assert str(got.value) == str(want.value)
+
     def test_signed_tree_always_balanced(self):
         rng = random.Random(12)
         for _ in range(50):
@@ -410,6 +458,45 @@ class TestExtractNetwork:
         assert [net.row_name(r) for r in range(net.n_rows)] == ["A", "B", "D"]
         assert net.entries == ((0, 0, 1), (0, 2, 1), (1, 0, -1), (1, 1, -1), (2, 1, 1), (2, 2, -1))
         assert is_network_matrix(net)
+
+    # R2 is not a (0,±1)-row, so every later row's vertex id is one below
+    # its row index; R1-R3-R4-R5 is a cycle with three negative edges and
+    # R1-R3-R4-R6 one with two.
+    PIN_MPS = (
+        "NAME PIN\nROWS\n N  OBJ\n E  R1\n E  R2\n L  R3\n G  R4\n E  R5\n E  R6\n"
+        "COLUMNS\n    X  OBJ  1  R1  1\n    X  R2  2  R3  1\n    Y  R2  3  R3  1\n"
+        "    Y  R4  -1\n    Z  R4  1  R5  1\n    W  R1  1  R5  1\n    V  R4  1  R6  1\n"
+        "    U  R1  1  R6  -1\nENDATA\n"
+    )
+
+    def test_pinned_on_a_parsed_mps_matrix(self):
+        m = parse_mps(self.PIN_MPS)
+        net, reflected = extract_network(m, [5, 3, 2, 0])
+        assert reflected == {2, 3}
+        assert net.row_names == ("R1", "R3", "R4", "R6")
+        assert net.entries == (
+            (0, 0, 1), (0, 3, 1), (0, 5, 1), (1, 0, -1), (1, 1, -1),
+            (2, 1, 1), (2, 2, -1), (2, 4, -1), (3, 4, 1), (3, 5, -1),
+        )
+        for rows in ([0, 2, 3, 4], [4, 2, 0, 3, 5]):
+            with pytest.raises(NotBalancedError) as err:
+                extract_network(m, rows)
+            assert err.value.witness == ((3, 2, 1), (2, 0, -1), (0, 4, -1), (4, 3, -1))
+
+    def test_pinned_on_a_frustrated_graph(self):
+        # Deleting vertex 7 balances this graph; the whole of it is not.
+        m = matrix_realizing(frustrated_graph(10, 3, 2, 3))
+        net, reflected = extract_network(m, [0, 1, 2, 3, 4, 5, 6, 8, 9])
+        assert reflected == {2, 3, 6}
+        assert net.entries == (
+            (0, 0, 1), (0, 1, 1), (1, 0, -1), (1, 2, 1), (2, 3, -1), (2, 4, -1),
+            (2, 5, -1), (2, 6, -1), (3, 7, -1), (3, 8, -1), (4, 3, 1), (4, 7, 1),
+            (4, 9, 1), (4, 10, 1), (5, 1, -1), (5, 4, 1), (5, 11, 1), (6, 5, 1),
+            (6, 9, -1), (6, 12, -1), (7, 13, 1), (8, 2, -1), (8, 12, 1), (8, 14, 1),
+        )
+        with pytest.raises(NotBalancedError) as err:
+            extract_network(m, range(10))
+        assert err.value.witness == ((7, 5, -1), (5, 2, -1), (2, 7, -1))
 
     def test_non_unit_row_rejected(self):
         m = mat(2, 1, [(0, 0, 1), (1, 0, 2)])

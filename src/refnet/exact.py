@@ -150,53 +150,6 @@ def subdivide_positive(graph: SignedGraph) -> SubdividedGraph:
     )
 
 
-class _ParityDSU:
-    """Union-find with edge parities; detects unbalanced cycles incrementally."""
-
-    __slots__ = ("parent", "rank", "parity")
-
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-        self.rank = [0] * n
-        self.parity = [0] * n
-
-    def find(self, x: int) -> tuple[int, int]:
-        parent, parity = self.parent, self.parity
-        root, p = x, 0
-        while parent[root] != root:
-            p ^= parity[root]
-            root = parent[root]
-        cur, cur_par = x, p
-        while parent[cur] != root:
-            nxt = parent[cur]
-            nxt_par = cur_par ^ parity[cur]
-            parent[cur] = root
-            parity[cur] = cur_par
-            cur, cur_par = nxt, nxt_par
-        return root, p
-
-    def join(self, v: int, parity_to_root: dict[int, int]) -> None:
-        """Link the singleton v to each given root with v's parity to it.
-
-        The roots are distinct and a consistent labelling exists, so the
-        component of the highest-ranked one absorbs v and the others.
-        """
-        if not parity_to_root:
-            return
-        parent, parity, rank = self.parent, self.parity, self.rank
-        top = max(parity_to_root, key=rank.__getitem__)
-        p_top = parity_to_root[top]
-        parent[v] = top
-        parity[v] = p_top
-        height = max(rank[top], 1)
-        for root, p in parity_to_root.items():
-            if root != top:
-                parent[root] = top
-                parity[root] = p ^ p_top
-                height = max(height, rank[root] + 1)
-        rank[top] = height
-
-
 def _set_bits(mask: int) -> list[int]:
     out = []
     while mask:
@@ -215,28 +168,28 @@ def _prefix_labels(
     """Two-label the components of the first ``upto`` vertices outside ``removed``.
 
     ``root[v]`` is the lowest vertex of v's component (a removed vertex is
-    its own), labelled 0, and ``parity[v]`` is v's label: a parity-p edge
-    joins labels that differ by p.  A conflict raises ``message``.
+    its own) and ``label[v]`` v's label relative to it, where the root is
+    labelled 0 and a parity-p edge joins labels that differ by p.  A conflict raises ``message``.
     """
     root = [v if v in removed else -1 for v in range(upto)]  # -1: not labelled yet
-    parity = [0] * upto
+    label = [0] * upto
     for start in range(upto):
         if root[start] >= 0:
             continue
         root[start] = start
         queue = [start]
         for x in queue:
-            px = parity[x]
+            px = label[x]
             for u, p in adjacency[x]:
                 if u >= upto or u in removed:
                     continue
                 if root[u] < 0:
                     root[u] = start
-                    parity[u] = px ^ p
+                    label[u] = px ^ p
                     queue.append(u)
-                elif parity[u] != px ^ p:
+                elif label[u] != px ^ p:
                     raise RuntimeError(message)
-    return root, parity
+    return root, label
 
 
 def _compress_transversal(
@@ -364,8 +317,8 @@ def _balancing_transversal(
 
     ``adjacency[v]`` lists ``(u, p)`` pairs, p the edge parity; a +/- pair is
     listed once with each parity.  One pass of iterative compression over
-    vertices in ascending order; a parity union-find tracks balance of the
-    transversal-free part between compressions.
+    vertices in ascending order; a two-labelling of the transversal-free
+    part's components tracks its balance between compressions.
 
     Between insertions the transversal holds exactly ``stats["lower_bound"]``
     vertices, a proven lower bound.  Each compression starts from one vertex
@@ -381,7 +334,12 @@ def _balancing_transversal(
     n = len(adjacency)
     in_transversal = [False] * n
     transversal: list[int] = []
-    dsu = _ParityDSU(n)
+    # root[v] names v's component of the transversal-free prefix, label[v] is
+    # v's label relative to it, and members[r] lists a root's component.  A
+    # vertex outside the prefix or in the transversal is its own root.
+    root = list(range(n))
+    label = [0] * n
+    members = [[v] for v in range(n)]
     solver = SeparatorSolver(n, [sorted({u for u, _ in nbrs}) for nbrs in adjacency])
     for v in range(n):
         solver.close(v)
@@ -389,15 +347,28 @@ def _balancing_transversal(
     for v in range(n):
         if cancel is not None and cancel.expired():
             raise OperationCancelled
-        # v's parity to the root of each earlier neighbour's component.
-        parity_to_root: dict[int, int] = {}
+        # v's label relative to the root of each earlier neighbour's component.
+        want: dict[int, int] = {}
         for u, p in adjacency[v]:
             if u < v and not in_transversal[u]:
-                root, parity = dsu.find(u)
-                if parity_to_root.setdefault(root, parity ^ p) != parity ^ p:
+                if want.setdefault(root[u], label[u] ^ p) != label[u] ^ p:
                     break  # v closes an unbalanced cycle
         else:
-            dsu.join(v, parity_to_root)
+            if want:
+                # v and every other component it touches join the largest
+                # one: merging small into large relabels a vertex at most
+                # log2(n) times.
+                top = max(want, key=lambda r: len(members[r]))
+                p_top = want[top]
+                root[v], label[v] = top, p_top
+                members[top].append(v)
+                for r, p_r in want.items():
+                    if r != top:
+                        for w in members[r]:
+                            root[w] = top
+                            label[w] ^= p_r ^ p_top
+                        members[top] += members[r]
+                        members[r] = []
             solver.open(v)
             continue
         transversal.append(v)
@@ -421,16 +392,12 @@ def _balancing_transversal(
                 in_transversal[w] = True
                 solver.close(w)
         transversal = sorted(compressed)
-        # Each component of the new prefix becomes a one-level tree.
-        roots, labels = _prefix_labels(
+        root[:v + 1], label[:v + 1] = _prefix_labels(
             adjacency, v + 1, compressed, "compressed transversal must leave a balanced graph"
         )
-        dsu = _ParityDSU(n)
-        dsu.parent[:v + 1] = roots
-        dsu.parity[:v + 1] = labels
-        for w, r in enumerate(roots):
-            if r != w:
-                dsu.rank[r] = 1
+        members[:v + 1] = [[] for _ in range(v + 1)]
+        for w in range(v + 1):
+            members[root[w]].append(w)
     return set(transversal)
 
 

@@ -14,13 +14,17 @@ column action.
 Values are kept as integer numerator/denominator pairs in lowest terms, so
 the unit and equal-magnitude tests compare integers; division stays exact.
 
-Only columns *unbounded at action time* are ever divided, so rows that are
-already (0,±1) can never be damaged: the (0,±1)-row count is non-decreasing
-and the zero/nonzero pattern never changes.  One ascending extended pass is
-already a fixpoint: after it every row is either a (0,±1)-row, which stays
-one, or a row it skipped, whose bounded entries keep at least two
-magnitudes because a bounded column stays bounded and is never divided
-again -- so a second pass would find nothing to do.
+A row action divides only columns that were unbounded when it began, so a
+row that is (0,±1) at the start of a row action is never damaged by it: the
+(0,±1)-row count never falls across a row action, and the zero/nonzero
+pattern never changes.  Within one action a row can be damaged: dividing one
+column can make another row (0,±1), which bounds a column the same action
+divides next ([[2, 3], [2, 1]] scales to [[1, 1], [1, 1/3]], and row 1 is
+[1, 1] after the first division).  One ascending extended pass is still a
+fixpoint: a row it acts on ends as a (0,±1)-row and so stays one, and a row
+it skips has two magnitudes among columns bounded by rows that were (0,±1)
+when its action began; those columns stay bounded and are never divided
+again, so a second pass skips the row too.
 """
 
 from __future__ import annotations

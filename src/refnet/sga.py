@@ -524,22 +524,16 @@ def permute_graph(graph: SignedGraph, order: Sequence[int]) -> SignedGraph:
     :class:`ValueError`.  The heuristic ranks vertices in place instead
     (the ``order`` of :func:`sga`); this copy is what such a pass equals.
     """
-    n, graph_neighbors, graph_masks = graph.n, graph.neighbors, graph.masks
+    n = graph.n
     _check_order(order, n)
     new_of_old = [0] * n
     for j, old in enumerate(order):
         new_of_old[old] = j
-    neighbors = []
-    masks = []
-    for old in order:
-        # A mask fits in two bits, so one int sorts as the (id, mask) pair.
-        keys = sorted(
-            [new_of_old[u] << 2 | m for u, m in zip(graph_neighbors[old], graph_masks[old])]
-        )
-        neighbors.append(tuple([k >> 2 for k in keys]))
-        masks.append(tuple([k & 3 for k in keys]))
-    tags = tuple([graph.tags[old] for old in order])
-    return SignedGraph(n, tags, tuple(neighbors), tuple(masks))
+    return SignedGraph._from_pair_masks(
+        n,
+        {(new_of_old[u], new_of_old[v]): m for u, v, m in graph.pairs},
+        [graph.tags[old] for old in order],
+    )
 
 
 def sga_repeat(

@@ -130,6 +130,25 @@ class TestExtendedScale:
         out = extended_stage(simple_stage(m))
         assert values(out)[2:] == [(1, 0, Fraction(2)), (1, 1, Fraction(3))]
 
+    def test_row_made_unit_mid_action_can_be_damaged(self):
+        # Row 0 has no bounded column, so both its columns are divided by
+        # their pivots.  Dividing column 0 by 2 makes row 1 [1, 1], which
+        # bounds column 1; column 1 is still divided by 3, as it was
+        # unbounded when row 0's action began.  Row 1 is then skipped.
+        m = mat(2, 2, [(0, 0, 2), (0, 1, 3), (1, 0, 2), (1, 1, 1)])
+        ws = _Workspace(m)
+        ws.scale_col_by(0)
+        assert ws.unit == [False, True]
+        out = scale(m)
+        assert values(out) == [
+            (0, 0, Fraction(1)),
+            (0, 1, Fraction(1)),
+            (1, 0, Fraction(1)),
+            (1, 1, Fraction(1, 3)),
+        ]
+        assert classify_rows(out) == (True, False)
+        assert scale(out) == out
+
 
 class TestInvariants:
     def test_pattern_preserved(self):

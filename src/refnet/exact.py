@@ -490,44 +490,27 @@ def _cover_search(adjacency: list[set[int]], budget: int) -> set[int] | None:
     while True:
         if budget < 0:
             return None
-        progress = False
-        for v in range(len(adjacency)):
-            d = len(adjacency[v])
-            if d == 0:
-                continue
-            if d == 1:
-                _take(adjacency, next(iter(adjacency[v])), cover)
+        for v, nbrs in enumerate(adjacency):
+            if len(nbrs) == 1 or len(nbrs) > budget:
+                _take(adjacency, next(iter(nbrs)) if len(nbrs) == 1 else v, cover)
                 budget -= 1
-                progress = True
                 break
-            if d > budget:
-                _take(adjacency, v, cover)
-                budget -= 1
-                progress = True
-                break
-        if not progress:
+        else:
             break
     double_edges = sum(len(a) for a in adjacency)
     if double_edges == 0:
         return cover
-    if budget <= 0 or double_edges // 2 > budget * budget:
+    # Every vertex left with an edge has degree in [2, budget] here.
+    if double_edges // 2 > budget * budget:
         return None
-    pivot = -1
-    for v in range(len(adjacency)):
-        if pivot == -1 or len(adjacency[v]) > len(adjacency[pivot]):
-            pivot = v
-    branch = [set(a) for a in adjacency]
-    _take(branch, pivot, taken := set())
-    rest = _cover_search(branch, budget - 1)
-    if rest is not None:
-        return cover | taken | rest
-    neighbors = sorted(adjacency[pivot])
-    if len(neighbors) <= budget:
+    pivot = max(range(len(adjacency)), key=lambda v: len(adjacency[v]))
+    # Take the pivot, or else its whole neighbourhood.
+    for choice in ((pivot,), adjacency[pivot]):
         branch = [set(a) for a in adjacency]
-        taken = set()
-        for u in neighbors:
+        taken: set[int] = set()
+        for u in choice:
             _take(branch, u, taken)
-        rest = _cover_search(branch, budget - len(neighbors))
+        rest = _cover_search(branch, budget - len(taken))
         if rest is not None:
             return cover | taken | rest
     return None
@@ -536,16 +519,52 @@ def _cover_search(adjacency: list[set[int]], budget: int) -> set[int] | None:
 def vertex_cover(
     adjacency: Sequence[Sequence[int]], k: int
 ) -> set[int] | None:
-    """Vertex cover of size <= k, or None if none exists.
+    """Minimum vertex cover if one of size <= k exists, else None.
 
-    Kernelization (isolated removal, degree-1 neighbor rule, high-degree
-    rule, edge-count bound) followed by binary branching on a maximum-degree
-    vertex: take it, or take its whole neighborhood.  Worst case around
-    2^k subproblems, plenty at the scales this package meets.
+    Each connected component is searched on its own, members renumbered in
+    ascending order.  Its edges in a greedy maximal matching bound its cover
+    from below, and bounds summing above k return None at once.  A
+    component's size then rises from its bound, each step spending the
+    slack k leaves, through a decision search: kernel rules (degree-1
+    neighbour, high degree, edge count), then take a maximum-degree vertex
+    or its whole neighbourhood.  The cover is the same set for every k >= the minimum.
+    Worst case around 2^c subproblems per size, c the component's minimum.
     """
     if k < 0:
         raise ValueError("k must be non-negative")
-    return _cover_search([set(a) for a in adjacency], k)
+    n = len(adjacency)
+    matched = [False] * n
+    for v in range(n):
+        for u in adjacency[v]:
+            if not matched[v] and not matched[u]:
+                matched[v] = matched[u] = True
+    slack = k - sum(matched) // 2
+    if slack < 0:
+        return None
+    seen = [False] * n
+    cover: set[int] = set()
+    for start in range(n):
+        if seen[start] or not adjacency[start]:
+            continue
+        seen[start] = True
+        members = [start]
+        for v in members:
+            for u in adjacency[v]:
+                if not seen[u]:
+                    seen[u] = True
+                    members.append(u)
+        members.sort()
+        local = {v: i for i, v in enumerate(members)}
+        size = sum(matched[v] for v in members) // 2
+        while (found := _cover_search(
+            [{local[u] for u in adjacency[v]} for v in members], size
+        )) is None:
+            if slack == 0:
+                return None
+            slack -= 1
+            size += 1
+        cover.update(members[i] for i in found)
+    return cover
 
 
 # ---------------------------------------------------------------------------

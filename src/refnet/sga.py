@@ -599,36 +599,25 @@ def sga_vc(
 ) -> HeuristicResult:
     """Heuristic pass with an exact minimum vertex cover in place of greedy.
 
-    The cover is computed on the negative subgraph by sweeping the cover
-    size upward from the size of a greedy maximal matching there (each
-    matched edge needs a cover vertex of its own, so no smaller size can
-    succeed); its complement is a maximum independent set, so the retained
-    set is never smaller than the greedy variant's on the same forest.
-    ``vc_budget`` caps the sweep; exhausting it, or a matching already
-    larger than it, raises :class:`CoverBudgetError` so callers can fall
-    back to greedy.
+    The cover of the negative subgraph comes from one
+    :func:`~refnet.exact.vertex_cover` call, which sweeps each connected
+    component's cover size upward from a greedy matching bound; its
+    complement is a maximum independent set, so the retained set is never
+    smaller than the greedy variant's on the same forest.  ``vc_budget``
+    (default: the negative subgraph's vertex count) caps the cover size;
+    when no cover fits, :class:`CoverBudgetError` lets callers fall back to
+    greedy.
     """
     # Imported here: the exact solver loads only when a caller asks for it.
     from refnet.exact import vertex_cover
 
     def cover_complement(adjacency: list[list[int]]) -> set[int]:
         budget = len(adjacency) if vc_budget is None else vc_budget
-        matched = [False] * len(adjacency)
-        matching = 0
-        for v, row in enumerate(adjacency):
-            if matched[v]:
-                continue
-            for u in row:
-                if not matched[u]:
-                    matched[v] = matched[u] = True
-                    matching += 1
-                    break
-        for size in range(matching, budget + 1):
-            cover = vertex_cover(adjacency, size)
-            if cover is not None:
-                return set(range(len(adjacency))) - cover
-        raise CoverBudgetError(
-            f"no vertex cover of size <= {budget} found within the budget"
-        )
+        cover = vertex_cover(adjacency, budget)
+        if cover is None:
+            raise CoverBudgetError(
+                f"no vertex cover of size <= {budget} found within the budget"
+            )
+        return set(range(len(adjacency))) - cover
 
     return _pass(graph, strategy, rng, None, cover_complement, "exact")

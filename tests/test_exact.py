@@ -435,6 +435,12 @@ def test_planted_instance_at_benchmark_scale():
     assert rerun.deletion == result.deletion
 
 
+NO_MINIMUM_COVER_HOLDS_THE_PIVOT = [
+    [[2, 3], [2, 3, 5], [0, 1, 4], [0, 1, 5], [2, 5], [1, 3, 4]],
+    [[3, 6], [2, 3, 6], [1, 3, 5], [0, 1, 2], [], [2, 6], [0, 1, 5]],
+]
+
+
 class TestVertexCover:
     def test_edgeless(self):
         assert vertex_cover([[], [], []], 0) == set()
@@ -451,8 +457,24 @@ class TestVertexCover:
 
     def test_matches_brute_force(self):
         rng = random.Random(58)
-        for _ in range(60):
-            adj = simple_adjacency(rng, n_max=9, p=0.4)
+        inputs = [simple_adjacency(rng, n_max=9, p=0.4) for _ in range(60)]
+        # Taking the first maximum-degree vertex gives a cover, not a minimum one.
+        inputs += NO_MINIMUM_COVER_HOLDS_THE_PIVOT
+        for _ in range(40):
+            # Several components and isolated vertices, ids shuffled together.
+            parts = [simple_adjacency(rng, n_max=4, p=0.6) for _ in range(rng.randint(2, 3))]
+            parts += [[[]] for _ in range(rng.randint(0, 2))]
+            edges, n = [], 0
+            for part in parts:
+                edges += [(n + u, n + v) for u in range(len(part)) for v in part[u] if v > u]
+                n += len(part)
+            ids = rng.sample(range(n), n)
+            adj = [[] for _ in range(n)]
+            for u, v in edges:
+                adj[ids[u]].append(ids[v])
+                adj[ids[v]].append(ids[u])
+            inputs.append([sorted(row) for row in adj])
+        for adj in inputs:
             n = len(adj)
             edges = [(u, v) for u in range(n) for v in adj[u] if v > u]
             best = next(
@@ -461,22 +483,15 @@ class TestVertexCover:
                 for combo in itertools.combinations(range(n), size)
                 if all(u in combo or v in combo for u, v in edges)
             )
-            for k in range(n + 1):
-                cover = vertex_cover(adj, k)
-                if k < best:
-                    assert cover is None
-                else:
-                    assert cover is not None and len(cover) <= k
-                    assert all(u in cover or v in cover for u, v in edges)
-                    break
+            covers = [vertex_cover(adj, k) for k in range(n + 1)]
+            assert covers[:best] == [None] * best
+            # A minimum cover, the same set for every k from the minimum up.
+            cover = covers[best]
+            assert cover is not None and len(cover) == best
+            assert all(u in cover or v in cover for u, v in edges)
+            assert all(c == cover for c in covers[best:])
 
-    @pytest.mark.parametrize(
-        "adj",
-        [
-            [[2, 3], [2, 3, 5], [0, 1, 4], [0, 1, 5], [2, 5], [1, 3, 4]],
-            [[3, 6], [2, 3, 6], [1, 3, 5], [0, 1, 2], [], [2, 6], [0, 1, 5]],
-        ],
-    )
+    @pytest.mark.parametrize("adj", NO_MINIMUM_COVER_HOLDS_THE_PIVOT)
     def test_minimum_cover_without_the_pivot(self, adj):
         # No kernel rule fires and no minimum cover holds the first
         # maximum-degree vertex, so taking it fails and the search returns

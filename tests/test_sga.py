@@ -34,8 +34,19 @@ from refnet.signed_graph import (
 )
 
 sga_module = importlib.import_module("refnet.sga")
-# sga_vc looks vertex_cover up in refnet.exact when it runs.
+# sga_vc looks vertex_cover up in refnet.exact when it runs, and
+# vertex_cover looks up _cover_search there too.
 exact_module = importlib.import_module("refnet.exact")
+cover_search = exact_module._cover_search
+
+
+def disjoint_pm_triangles(count: int) -> SignedGraph:
+    """``count`` disjoint triangles whose every pair has a +/- edge pair."""
+    edges = []
+    for t in range(count):
+        for u, v in ((0, 1), (1, 2), (0, 2)):
+            edges += [(3 * t + u, 3 * t + v, 1), (3 * t + u, 3 * t + v, -1)]
+    return SignedGraph.from_edges(3 * count, edges)
 
 
 def fig_graph() -> SignedGraph:
@@ -365,36 +376,112 @@ class TestSgaVc:
             sga_vc(g, "DFS", vc_budget=0)
 
     def test_matching_above_budget_raises_without_a_search(self, monkeypatch):
-        # Two disjoint +/- pairs survive every switch: a matching of size 2.
-        sizes = []
-        monkeypatch.setattr(exact_module, "vertex_cover", lambda adj, size: sizes.append(size))
+        # Two disjoint +/- pairs survive every switch: matching bounds of 1 each.
+        budgets = []
+
+        def recording(adjacency, budget):
+            budgets.append(budget)
+            return cover_search(adjacency, budget)
+
+        monkeypatch.setattr(exact_module, "_cover_search", recording)
         g = SignedGraph.from_edges(4, [(0, 1, 1), (0, 1, -1), (2, 3, 1), (2, 3, -1)])
         with pytest.raises(CoverBudgetError):
             sga_vc(g, "DFS", vc_budget=1)
-        assert sizes == []
+        assert budgets == []
+
+    def test_slack_is_shared_between_components(self):
+        # Each triangle of +/- pairs has a matching of 1 and a minimum cover
+        # of 2, so the two together need a budget of 4.
+        g = disjoint_pm_triangles(2)
+        with pytest.raises(CoverBudgetError):
+            sga_vc(g, "DFS", vc_budget=3)
+        assert sga_vc(g, "DFS", vc_budget=4).k == 4
+
+    def test_components_are_not_restarted_together(self, monkeypatch):
+        # A sweep over the whole negative subgraph proves each size
+        # infeasible across all twelve triangles at once, thousands of
+        # searches; one component at a time takes three each.
+        calls = 0
+
+        def counting(adjacency, budget):
+            nonlocal calls
+            calls += 1
+            if calls > 200:
+                raise AssertionError("more than 200 cover searches")
+            return cover_search(adjacency, budget)
+
+        monkeypatch.setattr(exact_module, "_cover_search", counting)
+        assert sga_vc(disjoint_pm_triangles(12), "DFS").k == 24
+        assert calls <= 3 * 12
 
     def test_sweep_starts_at_a_matching_and_ends_at_the_minimum(self, monkeypatch):
-        calls: list[tuple[list[list[int]], int]] = []
+        negative: list[list[list[int]]] = []
+        sweeps: list[tuple[set[tuple[int, int]], int, bool]] = []
+        depth = 0
 
-        def recording(adjacency, size):
-            calls.append((adjacency, size))
-            return vertex_cover(adjacency, size)
+        def recording_cover(adjacency, k):
+            negative.append(adjacency)
+            return vertex_cover(adjacency, k)
 
-        monkeypatch.setattr(exact_module, "vertex_cover", recording)
+        def recording_search(adjacency, budget):
+            nonlocal depth
+            edges = {(u, v) for u, row in enumerate(adjacency) for v in row if u < v}
+            depth += 1
+            try:
+                found = cover_search(adjacency, budget)
+            finally:
+                depth -= 1
+            if depth == 0:
+                sweeps.append((edges, budget, found is not None))
+            return found
+
+        monkeypatch.setattr(exact_module, "vertex_cover", recording_cover)
+        monkeypatch.setattr(exact_module, "_cover_search", recording_search)
         rng = random.Random(32)
         skipped = 0
         for trial in range(80):
             g = random_signed_graph(rng, n_max=16)
-            calls.clear()
+            negative.clear()
+            sweeps.clear()
             sga_vc(g, "DFS", random.Random(trial))
-            adjacency = calls[0][0]
-            sizes = [size for _, size in calls]
-            assert all(a is adjacency for a, _ in calls)
-            assert sizes == list(range(sizes[0], sizes[-1] + 1))
-            # The sweep ends at the minimum cover size, as one from zero would.
-            assert sizes[-1] == 0 or vertex_cover(adjacency, sizes[-1] - 1) is None
-            assert (sizes[0] > 0) == any(adjacency)
-            skipped += sizes[0]
+            (adjacency,) = negative
+            # Components by lowest member, each renumbered in ascending order.
+            seen: set[int] = set()
+            components = []
+            for start in range(len(adjacency)):
+                if start in seen or not adjacency[start]:
+                    continue
+                members = {start}
+                stack = [start]
+                while stack:
+                    for u in adjacency[stack.pop()]:
+                        if u not in members:
+                            members.add(u)
+                            stack.append(u)
+                seen |= members
+                components.append(sorted(members))
+            # One sweep per component, each ending at its first success.
+            for members in components:
+                local = {v: i for i, v in enumerate(members)}
+                edges = {(local[u], local[v]) for u in members for v in adjacency[u] if u < v}
+                sizes = []
+                while True:
+                    component_edges, size, found = sweeps.pop(0)
+                    assert component_edges == edges
+                    sizes.append(size)
+                    if found:
+                        break
+                matched: set[int] = set()
+                for u in members:
+                    for v in adjacency[u]:
+                        if u not in matched and v not in matched:
+                            matched |= {u, v}
+                assert sizes == list(range(len(matched) // 2, sizes[-1] + 1))
+                # The sweep ends at the component's minimum cover size.
+                local_adj = [{local[u] for u in adjacency[v]} for v in members]
+                assert cover_search(local_adj, sizes[-1] - 1) is None
+                skipped += sizes[0]
+            assert sweeps == []
         assert skipped > 40
 
 

@@ -42,7 +42,7 @@ import itertools
 import time
 from typing import Container, NamedTuple, Sequence
 
-from refnet.flow import Residual, SeparatorSolver
+from refnet.flow import SeparatorSolver
 from refnet.signed_graph import (
     NEG,
     POS,
@@ -159,6 +159,24 @@ def _set_bits(mask: int) -> list[int]:
     return out
 
 
+def _check_adjacency(adjacency: Sequence[Sequence[int]]) -> None:
+    """Raise ValueError unless ``adjacency`` lists a loopless undirected graph.
+
+    Every id must name a vertex, no vertex may list itself, and every edge
+    must be listed at both of its ends.
+    """
+    n = len(adjacency)
+    listed = [set(nbrs) for nbrs in adjacency]
+    for v, nbrs in enumerate(adjacency):
+        for u in nbrs:
+            if not 0 <= u < n:
+                raise ValueError(f"vertex {v} lists {u}, which is not a vertex id")
+            if u == v:
+                raise ValueError(f"vertex {v} lists itself")
+            if v not in listed[u]:
+                raise ValueError(f"vertex {v} lists {u}, but {u} does not list {v}")
+
+
 def _prefix_labels(
     adjacency: Sequence[Sequence[tuple[int, int]]],
     upto: int,
@@ -251,33 +269,29 @@ def _compress_transversal(
         ref: int,
         flip: int,
         dropped: int,
-        flow_state: tuple[Residual, list[int], int, int],
+        cap: list[int],
+        cut: list[int],
         grown: bool,
     ) -> set[int] | None:
         # A node with the first i transversal vertices decided and terminal
-        # masks ref/flip.  ``flow_state`` holds a maximum flow between its
-        # parent's terminals, that flow's separator and the terminal masks
-        # open in it; ``grown`` says whether deciding vertex i - 1 added
-        # terminals.
+        # masks ref/flip.  ``cap`` holds a maximum flow between the terminals
+        # of the nearest ancestor that ran one (its arcs record which are
+        # open) and ``cut`` that flow's separator, whose size is the flow
+        # value; ``grown`` says whether deciding vertex i - 1 added terminals.
         nonlocal flows
         stats["splits"] = stats.get("splits", 0) + 1
         flow_budget = budget - dropped
         if (ref & flip).bit_count() > flow_budget:
             return None
-        residual, cut, open_ref, open_flip = flow_state
         if grown and ref and flip:
             flows += 1
             if cancel is not None and flows % 64 == 0 and cancel.expired():
                 raise OperationCancelled
-            residual = residual.copy()
-            # Terminals already open in the parent's flow stay open.
-            cut = solver.solve(
-                _set_bits(ref & ~open_ref), _set_bits(flip & ~open_flip), flow_budget, residual
-            )
+            cap = cap.copy()
+            cut = solver.solve(_set_bits(ref), _set_bits(flip), flow_budget, cap)
             if cut is None:
                 return None
-            flow_state = (residual, cut, ref, flip)
-        elif residual.flow > flow_budget:
+        elif len(cut) > flow_budget:
             return None
         if i == q:
             return {xs[j] for j in range(q) if assign[j] == DROP}.union(cut)
@@ -290,21 +304,21 @@ def _compress_transversal(
                 if dropped + 1 > budget:
                     continue
                 assign[i] = DROP
-                found = search(i + 1, ref, flip, dropped + 1, flow_state, False)
+                found = search(i + 1, ref, flip, dropped + 1, cap, cut, False)
             else:
                 if any(assign[j] ^ value ^ p == 1 for j, p in x_nbrs[i]):
                     continue  # a kept pair's sides must differ by its parity
                 assign[i] = value
                 add_ref, add_flip = side_terminals[i][value]
                 found = search(
-                    i + 1, ref | add_ref, flip | add_flip, dropped, flow_state,
+                    i + 1, ref | add_ref, flip | add_flip, dropped, cap, cut,
                     bool(add_ref & ~ref or add_flip & ~flip),
                 )
             if found is not None:
                 return found
         return None
 
-    return search(0, 0, 0, 0, (solver.residual(), [], 0, 0), False)
+    return search(0, 0, 0, 0, solver.residual(), [], False)
 
 
 def _balancing_transversal(
@@ -414,10 +428,12 @@ def odd_cycle_transversal(
     edge of parity 1.  ``stats["lower_bound"]`` holds the budget reached, a
     proven lower bound on the optimum, also after cancellation.  ``cancel``
     is polled during insertion and inside compression; expiry raises
-    :class:`OperationCancelled`.
+    :class:`OperationCancelled`.  An id that names no vertex, a vertex that
+    lists itself or an edge listed at one end only raises ValueError.
     """
     if k < 0:
         raise ValueError("k must be non-negative")
+    _check_adjacency(adjacency)
     signed = [[(u, 1) for u in nbrs] for nbrs in adjacency]
     return _balancing_transversal(signed, k, cancel, {} if stats is None else stats)
 
@@ -504,9 +520,12 @@ def _cover_search(adjacency: list[set[int]], budget: int) -> set[int] | None:
     if double_edges // 2 > budget * budget:
         return None
     pivot = max(range(len(adjacency)), key=lambda v: len(adjacency[v]))
-    # Take the pivot, or else its whole neighbourhood.
-    for choice in ((pivot,), adjacency[pivot]):
-        branch = [set(a) for a in adjacency]
+    # Take the pivot, or else its whole neighbourhood.  The second branch is
+    # the last use of this node's sets, so it takes them uncopied.
+    for branch, choice in (
+        ([set(a) for a in adjacency], (pivot,)),
+        (adjacency, tuple(adjacency[pivot])),
+    ):
         taken: set[int] = set()
         for u in choice:
             _take(branch, u, taken)
@@ -529,9 +548,11 @@ def vertex_cover(
     neighbour, high degree, edge count), then take a maximum-degree vertex
     or its whole neighbourhood.  The cover is the same set for every k >= the minimum.
     Worst case around 2^c subproblems per size, c the component's minimum.
+    Malformed adjacency raises ValueError, as in :func:`odd_cycle_transversal`.
     """
     if k < 0:
         raise ValueError("k must be non-negative")
+    _check_adjacency(adjacency)
     n = len(adjacency)
     matched = [False] * n
     for v in range(n):

@@ -21,36 +21,21 @@ one network per solve this way and opens vertices as it inserts them.
 
 The flow is a pure-Python breadth-first augmenting loop over paired-arc
 residual arrays; it aborts as soon as the flow exceeds the limit, so a
-"no" answer costs at most ``limit + 1`` augmentations.  A caller whose
-terminal sets only grow can keep one :class:`Residual` and continue the flow
-in it instead of starting from zero: opening more terminal arcs keeps a flow
-feasible, and every maximum flow of a network leaves the same vertices
-reachable from the source, so the separator read back is the one a fresh
-solve returns.
+"no" answer costs at most ``limit + 1`` augmentations.  A flow is its
+list of residual capacities, and the arcs record everything else: a terminal
+arc is open when it has capacity either way, and the flow it carries is its
+reverse arc's capacity, so the flow value is the sum over the open source
+arcs.  A caller whose terminal sets only grow can keep one such list and
+continue the flow in it instead of starting from zero, passing every
+terminal on each call: opening a terminal arc again changes nothing, opening
+more keeps a flow feasible, and every maximum flow of a network leaves the
+same vertices reachable from the source.  So the separator read back is the
+one a fresh solve returns, whatever the order of the terminals.
 """
 
 from __future__ import annotations
 
 from typing import Iterable, Sequence
-
-
-class Residual:
-    """One flow in a :class:`SeparatorSolver`'s network.
-
-    ``cap`` holds the residual capacity of every arc, ``flow`` the flow
-    value and ``sources`` the source terminals opened so far, where every
-    search starts; :meth:`SeparatorSolver.solve` grows all three in place.
-    """
-
-    __slots__ = ("cap", "flow", "sources")
-
-    def __init__(self, cap: list[int], flow: int = 0, sources: list[int] | None = None):
-        self.cap = cap
-        self.flow = flow
-        self.sources = [] if sources is None else sources
-
-    def copy(self) -> "Residual":
-        return Residual(self.cap.copy(), self.flow, self.sources.copy())
 
 
 class SeparatorSolver:
@@ -94,8 +79,8 @@ class SeparatorSolver:
         self._src_arc = src_arc = [0] * n
         self._snk_arc = snk_arc = [0] * n
         # Only the arcs into the sink go on the lists: a search starts from
-        # the sources a residual has opened, never returns to the source and
-        # stops at the sink.
+        # the sources it is given, never returns to the source and stops at
+        # the sink.
         for v in range(n):
             idx = len(to)
             head[2 * v + 1].append(idx + 2)
@@ -118,50 +103,51 @@ class SeparatorSolver:
         """Stop all flow through vertex v, as if it were removed."""
         self._cap_template[2 * v] = 0
 
-    def residual(self) -> Residual:
+    def residual(self) -> list[int]:
         """Zero flow with every terminal arc closed, for :meth:`solve` to grow."""
-        return Residual(self._cap_template.copy())
+        return self._cap_template.copy()
 
     def solve(
         self,
         sources: Iterable[int],
         sinks: Iterable[int],
         limit: int,
-        residual: Residual | None = None,
+        residual: list[int] | None = None,
     ) -> list[int] | None:
         """Separator of size <= limit between the terminal sets, or None.
 
         The returned list is ascending.  ``None`` means every separator is
         larger than ``limit``.  Without ``residual`` the flow starts from
-        zero.  With one, it continues from that flow: the given terminals
-        are opened on top of those already open in it, and it is updated in
-        place to the flow reached (above ``limit`` when the answer is None).
-        Opened terminals stay open, so a caller that needs an earlier state
-        keeps a :meth:`Residual.copy`.
+        zero.  With one, it continues from that flow, and the terminals
+        passed must include every terminal open in it: their arcs are opened
+        (again, for those already open), the flow value is read off the
+        source arcs, and the list is updated in place to the flow reached
+        (above ``limit`` when the answer is None).  A caller that needs an
+        earlier state keeps a copy of the list.  The separator does not
+        depend on the order of the terminals.
         """
         if limit < 0:
             return None
-        if residual is None:
-            residual = self.residual()
-        cap, opened = residual.cap, residual.sources
+        cap = self.residual() if residual is None else residual
         wide, src_arc = self._wide, self._src_arc
-        # An open terminal arc keeps its flow: its residual is wide - flow.
-        # A closed one has no capacity either way.
-        for v in sources:
+        # An open terminal arc keeps its flow, which its reverse arc holds:
+        # its residual is wide - flow.  A closed one has no capacity either
+        # way.  A vertex listed twice counts once.
+        starts = dict.fromkeys(sources)
+        flow = 0
+        for v in starts:
             a = src_arc[v]
-            if not cap[a] and not cap[a ^ 1]:
-                opened.append(v)
+            flow += cap[a ^ 1]
             cap[a] = wide - cap[a ^ 1]
         for v in sinks:
             a = self._snk_arc[v]
             cap[a] = wide - cap[a ^ 1]
         to, head, prev_arc = self._to, self._head, self._prev_arc
         s, t = self._source, self._sink
-        flow = residual.flow
         while flow <= limit:
             prev_arc[s] = -2
             queue = [s]
-            for v in opened:
+            for v in starts:
                 a = src_arc[v]
                 if cap[a] and prev_arc[2 * v] == -1:
                     prev_arc[2 * v] = a
@@ -205,5 +191,5 @@ class SeparatorSolver:
                 x = to[a ^ 1]
             for x in queue:
                 prev_arc[x] = -1
-            flow = residual.flow = flow + bottleneck
+            flow += bottleneck
         return None

@@ -174,7 +174,12 @@ def classify_rows(matrix: SparseMatrix) -> tuple[bool, ...]:
 
     A row with no nonzeros counts as a (0,±1)-row.  Rows failing this test
     can never belong to a reflected network, so downstream stages drop them.
+    A matrix that :func:`refnet.scaling.scale` made already carries its
+    flags, and they are returned as they are.
     """
+    known = vars(matrix).get("_unit_rows")
+    if known is not None:
+        return known
     unit = [True] * matrix.n_rows
     for r, _, v in matrix.entries:
         if v.denominator != 1 or v.numerator not in (1, -1):

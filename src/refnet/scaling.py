@@ -120,6 +120,8 @@ class _Workspace:
     def to_matrix(self) -> SparseMatrix:
         # Entries keep the parent's (row, col) order, and so its indexes;
         # untouched ones are reused, and each new value becomes one Fraction.
+        # The unit flags, current after every action, are the scaled
+        # matrix's (0,±1)-row flags, so :func:`classify_rows` returns them.
         entries = list(self.matrix.entries)
         made: dict[tuple[int, int], Fraction] = {}
         for e in self.changed:
@@ -136,7 +138,9 @@ class _Workspace:
             self.matrix.row_names,
             self.matrix.col_names,
         )
-        vars(scaled).update(row_nonzeros=self.rows, col_nonzeros=self.cols)
+        vars(scaled).update(
+            row_nonzeros=self.rows, col_nonzeros=self.cols, _unit_rows=tuple(self.unit)
+        )
         return scaled
 
 

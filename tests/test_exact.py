@@ -4,6 +4,7 @@ import itertools
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 import time
@@ -91,8 +92,8 @@ def run(call):
 def false_flow():
     solver = SeparatorSolver(2, [[1], [0]])
     residual = solver.residual()
-    residual.flow = 1  # a unit of flow the arcs do not carry
-    solver.solve([], [], 5, residual)
+    residual[solver._src_arc[0] ^ 1] = 1  # a unit of flow on no path to a sink
+    solver.solve([0], [], 5, residual)
 
 out = {
     "debug": __debug__,
@@ -512,6 +513,23 @@ class TestVertexCover:
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
             vertex_cover([[1], [0]], -1)
+
+
+@pytest.mark.parametrize("solve", [odd_cycle_transversal, vertex_cover], ids=lambda f: f.__name__)
+@pytest.mark.parametrize(
+    "adjacency, message",
+    [
+        ([[5]], "vertex 0 lists 5, which is not a vertex id"),
+        ([[1], [0, -1]], "vertex 1 lists -1, which is not a vertex id"),
+        ([[0]], "vertex 0 lists itself"),
+        # a triangle listed on one side only
+        ([[1, 2], [2], []], "vertex 0 lists 1, but 1 does not list 0"),
+    ],
+    ids=["id-too-large", "id-negative", "loop", "one-sided-edge"],
+)
+def test_malformed_adjacency_raises(solve, adjacency, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        solve(adjacency, 5)
 
 
 class TestOracles:

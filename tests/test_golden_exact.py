@@ -6,10 +6,11 @@ its size -- is a pure function of the graph.  These values were recorded
 once; a change to the compression search or the flow layer must reproduce
 them exactly.  Each entry is ``k`` plus the first 16 hex digits of the
 sha256 of ``repr(sorted(deletion))``; the balanced-deletion entries also pin
-``nodes_explored``, the number of split-search nodes examined, so a change
-that reaches the same deletion by a different search shows up too.  The
-frustrated graphs' packing bound falls short of the optimum, so their
-compressions fail as well as succeed.  Re-pin a node count only in a change
+``nodes_explored``, the number of split-search nodes examined, then the
+calls of ``SeparatorSolver.solve`` and how many of them found a separator,
+so a change that reaches the same deletion by a different search or other
+flows shows up too.  The frustrated graphs' packing bound falls short of
+the optimum, so their compressions fail as well as succeed.  Re-pin a node count only in a change
 that alters the search on purpose (a bound that skips compressions, kernel
 rules, a different split order), and list each re-pin in CHANGES.md.
 
@@ -20,11 +21,13 @@ from __future__ import annotations
 
 import hashlib
 import random
+from unittest import mock
 
 import pytest
 
 from helpers import frustrated_graph, planted_graph
 from refnet.exact import mbd_exact, odd_cycle_transversal
+from refnet.flow import SeparatorSolver
 
 
 def digest(k: int, deletion) -> tuple[int, str]:
@@ -32,13 +35,22 @@ def digest(k: int, deletion) -> tuple[int, str]:
     return k, hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
-def exact_digest(graph) -> tuple[int, str, int]:
-    result = mbd_exact(graph)
+def exact_digest(graph) -> tuple[int, str, int, int, int]:
+    found = []
+    solve = SeparatorSolver.solve
+
+    def counted(self, *args):
+        cut = solve(self, *args)
+        found.append(cut is not None)
+        return cut
+
+    with mock.patch.object(SeparatorSolver, "solve", counted):
+        result = mbd_exact(graph)
     assert result.status == "optimal"
-    return (*digest(result.k, result.deletion), result.nodes_explored)
+    return (*digest(result.k, result.deletion), result.nodes_explored, len(found), sum(found))
 
 
-def planted(seed: int) -> tuple[int, str, int]:
+def planted(seed: int) -> tuple[int, str, int, int, int]:
     rng = random.Random(seed)
     n = rng.randint(40, 80)
     return exact_digest(
@@ -46,7 +58,7 @@ def planted(seed: int) -> tuple[int, str, int]:
     )
 
 
-def frustrated(n: int, f: int, seed: int) -> tuple[int, str, int]:
+def frustrated(n: int, f: int, seed: int) -> tuple[int, str, int, int, int]:
     return exact_digest(frustrated_graph(n, 3, f, seed))
 
 
@@ -68,20 +80,20 @@ FRUSTRATED_CASES = [(120, 12, 1), (150, 15, 1), (150, 20, 1)]
 OCT_SEEDS = range(950, 970)
 
 GOLDEN_PLANTED = {
-    900: (4, '95c6d92266bc4468', 33),
-    901: (5, '5caacc73164e3424', 46),
-    902: (6, '8bc820e1ad2fc991', 110),
-    903: (2, '80eb36f8beab9f45', 15),
-    904: (5, 'dee27476e15e4a53', 67),
-    905: (5, '14c2dc5030d1ccf0', 59),
-    906: (5, '143fa7b9c2071383', 64),
-    907: (3, '7b135899b5f21976', 40),
+    900: (4, '95c6d92266bc4468', 33, 16, 5),
+    901: (5, '5caacc73164e3424', 46, 21, 7),
+    902: (6, '8bc820e1ad2fc991', 110, 64, 19),
+    903: (2, '80eb36f8beab9f45', 15, 8, 4),
+    904: (5, 'dee27476e15e4a53', 67, 23, 11),
+    905: (5, '14c2dc5030d1ccf0', 59, 31, 9),
+    906: (5, '143fa7b9c2071383', 64, 16, 10),
+    907: (3, '7b135899b5f21976', 40, 22, 9),
 }
 
 GOLDEN_FRUSTRATED = {
-    (120, 12, 1): (7, '0676becbd8dfdf3f', 586),
-    (150, 15, 1): (8, '6352d90883efaddc', 1660),
-    (150, 20, 1): (9, '3a46aa92652496d3', 4702),
+    (120, 12, 1): (7, '0676becbd8dfdf3f', 586, 382, 118),
+    (150, 15, 1): (8, '6352d90883efaddc', 1660, 1097, 324),
+    (150, 20, 1): (9, '3a46aa92652496d3', 4702, 3129, 952),
 }
 
 GOLDEN_OCT = {

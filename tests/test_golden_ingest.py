@@ -119,12 +119,20 @@ def digests(m: SparseMatrix) -> tuple[str, ...]:
     )
 
 
+def random_input(seed: int) -> SparseMatrix:
+    return random_matrix(random.Random(seed), 25, 25, 0.25)
+
+
+def mps_input(seed: int) -> SparseMatrix:
+    return parse_mps(disguised_mps(seed))
+
+
 def random_case(seed: int) -> tuple[str, ...]:
-    return digests(random_matrix(random.Random(seed), 25, 25, 0.25))
+    return digests(random_input(seed))
 
 
 def mps_case(seed: int) -> tuple[str, ...]:
-    return digests(parse_mps(disguised_mps(seed)))
+    return digests(mps_input(seed))
 
 
 RANDOM_SEEDS = range(1100, 1105)
@@ -156,6 +164,18 @@ def test_golden_random_matrix(seed):
 @pytest.mark.parametrize("seed", MPS_SEEDS)
 def test_golden_disguised_mps(seed):
     assert mps_case(seed) == GOLDEN_MPS[seed]
+
+
+@pytest.mark.parametrize(
+    "make, seed",
+    [(random_input, seed) for seed in RANDOM_SEEDS] + [(mps_input, seed) for seed in MPS_SEEDS],
+    ids=lambda x: getattr(x, "__name__", x),
+)
+def test_scaled_flags_match_a_fresh_classification(make, seed):
+    # scale() hands its workspace's unit flags to the matrix it returns; a
+    # fresh copy of that matrix carries none and classifies its own rows.
+    scaled = scale(make(seed))
+    assert classify_rows(scaled) == classify_rows(SparseMatrix(*scaled))
 
 
 if __name__ == "__main__":

@@ -3,6 +3,9 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from helpers import extended_stage, random_matrix
 from refnet.matrix_io import SparseMatrix, classify_rows
 from refnet.scaling import _simple_pass, _Workspace, scale
@@ -213,6 +216,25 @@ class TestInvariants:
             (1, 0, Fraction(1)),
             (1, 1, Fraction(1)),
         ]
+
+
+@st.composite
+def matrices(draw):
+    n_rows, n_cols = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    cells = draw(st.dictionaries(
+        st.tuples(st.integers(0, n_rows - 1), st.integers(0, n_cols - 1)),
+        st.sampled_from([1, -1, 2, -2, 3, Fraction(1, 2), Fraction(-3, 4), Fraction(5, 3)]),
+    ))
+    return mat(n_rows, n_cols, [(r, c, v) for (r, c), v in cells.items()])
+
+
+@settings(max_examples=200, deadline=None)
+@given(matrices())
+def test_scaled_flags_match_a_fresh_classification(m):
+    # scale() hands its workspace's unit flags to the matrix it returns; a
+    # fresh copy of that matrix carries none and classifies its own rows.
+    scaled = scale(m)
+    assert classify_rows(scaled) == classify_rows(SparseMatrix(*scaled))
 
 
 class TestScalingState:

@@ -4,8 +4,11 @@ The minimum balanced deletion question -- fewest vertices whose removal
 leaves a balanced signed graph -- is solved on the signed graph itself.  A
 signed graph is balanced when its vertices can be labelled 0/1 so that a
 positive edge (parity 0) joins equal labels and a negative one (parity 1)
-unequal labels; graph bipartization is the case where every edge has parity
-1, so :func:`odd_cycle_transversal` runs the same solver.
+unequal labels; a +/- pair carries both parities.  The solver reads the
+graph's own neighbour and mask lists and copies them into no other format.
+Graph bipartization is the case where every edge has parity 1, so
+:func:`odd_cycle_transversal` runs the same solver on the all-negative
+signed graph of its adjacency.
 
 It works by iterative compression (Hüffner, "Algorithm Engineering for
 Optimal Graph Bipartization", JGAA 13(2), 2009): vertices are inserted one at
@@ -40,13 +43,14 @@ from __future__ import annotations
 
 import itertools
 import time
-from typing import Container, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 from refnet.flow import SeparatorSolver
 from refnet.signed_graph import (
     NEG,
     POS,
     SignedGraph,
+    _label_component,
     is_balanced,
 )
 
@@ -177,41 +181,8 @@ def _check_adjacency(adjacency: Sequence[Sequence[int]]) -> None:
                 raise ValueError(f"vertex {v} lists {u}, but {u} does not list {v}")
 
 
-def _prefix_labels(
-    adjacency: Sequence[Sequence[tuple[int, int]]],
-    upto: int,
-    removed: Container[int],
-    message: str,
-) -> tuple[list[int], list[int]]:
-    """Two-label the components of the first ``upto`` vertices outside ``removed``.
-
-    ``root[v]`` is the lowest vertex of v's component (a removed vertex is
-    its own) and ``label[v]`` v's label relative to it, where the root is
-    labelled 0 and a parity-p edge joins labels that differ by p.  A conflict raises ``message``.
-    """
-    root = [v if v in removed else -1 for v in range(upto)]  # -1: not labelled yet
-    label = [0] * upto
-    for start in range(upto):
-        if root[start] >= 0:
-            continue
-        root[start] = start
-        queue = [start]
-        for x in queue:
-            px = label[x]
-            for u, p in adjacency[x]:
-                if u >= upto or u in removed:
-                    continue
-                if root[u] < 0:
-                    root[u] = start
-                    label[u] = px ^ p
-                    queue.append(u)
-                elif label[u] != px ^ p:
-                    raise RuntimeError(message)
-    return root, label
-
-
 def _compress_transversal(
-    adjacency: Sequence[Sequence[tuple[int, int]]],
+    graph: SignedGraph,
     solver: SeparatorSolver,
     upto: int,
     transversal: Sequence[int],
@@ -222,9 +193,9 @@ def _compress_transversal(
     """Replace a size-(budget+1) transversal of the first ``upto`` vertices
     by one of size <= budget, or report that none exists.
 
-    Depth-first branch and bound over the splits of a signed adjacency;
+    Depth-first branch and bound over the splits of the transversal;
     ``stats["splits"]`` counts the search nodes examined.  ``solver`` is the
-    flow network of the whole adjacency with exactly the vertices below
+    flow network of the whole graph with exactly the vertices below
     ``upto`` outside the transversal open.  ``cancel`` is polled every 64
     flow runs.
     """
@@ -232,31 +203,36 @@ def _compress_transversal(
     x_pos = {x: i for i, x in enumerate(xs)}
 
     # Reference labelling of the transversal-free part, balanced by the
-    # compression invariant.
-    _, color = _prefix_labels(adjacency, upto, x_pos, "transversal invariant broken")
+    # compression invariant: each component's lowest vertex is labelled 0
+    # and the vertices of ``flipped`` 1.
+    reference = is_balanced(graph, [w for w in range(upto) if w not in x_pos])
+    if not reference.balanced:
+        raise RuntimeError("transversal invariant broken")
+    flipped = reference.switch_set
 
-    # Keeping x on side s asks label s ^ p of its neighbour over a parity-p
-    # edge outside the transversal: a neighbour whose reference label already
-    # matches is a ref terminal, any other must flip.  Side 1 mirrors side 0,
-    # and a +/- neighbour lands in both sets, so it must be cut.  Transversal
-    # neighbours listed before x are kept for the kept-pair check, which a
-    # DROP never fails: DROP ^ value ^ p is never 1.  Terminal sets are
+    # Keeping x on side s asks label s ^ p of its neighbour over an edge of
+    # parity p (0 for POS, 1 for NEG) outside the transversal: a neighbour
+    # whose reference label already matches is a ref terminal, any other
+    # must flip.  Side 1 mirrors side 0, and a +/- neighbour lands in both
+    # sets, so it must be cut.  Transversal neighbours listed before x are
+    # kept with their masks for the kept-pair check.  Terminal sets are
     # bitmasks over vertex ids.
     x_nbrs: list[list[tuple[int, int]]] = [[] for _ in xs]
     side_terminals = []
     for i, x in enumerate(xs):
         ref = flip = 0
-        for u, p in adjacency[x]:
+        for u, mask in zip(graph.neighbors[x], graph.masks[x]):
             if u >= upto:
-                continue
+                break  # neighbours ascend
             if u in x_pos:
-                j = x_pos[u]
-                if j < i:
-                    x_nbrs[i].append((j, p))
-            elif color[u] ^ p:
-                flip |= 1 << u
-            else:
+                if x_pos[u] < i:
+                    x_nbrs[i].append((x_pos[u], mask))
+                continue
+            labelled_1 = u in flipped
+            if mask & (NEG if labelled_1 else POS):
                 ref |= 1 << u
+            if mask & (POS if labelled_1 else NEG):
+                flip |= 1 << u
         side_terminals.append(((ref, flip), (flip, ref)))
 
     q = len(xs)
@@ -306,8 +282,11 @@ def _compress_transversal(
                 assign[i] = DROP
                 found = search(i + 1, ref, flip, dropped + 1, cap, cut, False)
             else:
-                if any(assign[j] ^ value ^ p == 1 for j, p in x_nbrs[i]):
-                    continue  # a kept pair's sides must differ by its parity
+                # Parity p has mask bit 1 << p.  A kept pair breaks on an
+                # edge of the parity its sides do not differ by; against a
+                # DROP that parity is 2 or 3, which no edge has.
+                if any(mask >> (assign[j] ^ value ^ 1) & 1 for j, mask in x_nbrs[i]):
+                    continue
                 assign[i] = value
                 add_ref, add_flip = side_terminals[i][value]
                 found = search(
@@ -322,17 +301,18 @@ def _compress_transversal(
 
 
 def _balancing_transversal(
-    adjacency: Sequence[Sequence[tuple[int, int]]],
+    graph: SignedGraph,
     k: int,
     cancel: CancelToken | None,
     stats: dict,
 ) -> set[int] | None:
-    """Minimum vertex set whose removal balances a signed adjacency, if <= k.
+    """Minimum vertex set whose removal balances ``graph``, if <= k.
 
-    ``adjacency[v]`` lists ``(u, p)`` pairs, p the edge parity; a +/- pair is
-    listed once with each parity.  One pass of iterative compression over
-    vertices in ascending order; a two-labelling of the transversal-free
-    part's components tracks its balance between compressions.
+    A negative ``k`` raises ValueError.  One pass of iterative compression
+    over vertices in ascending order, reading the graph's neighbour and mask
+    lists as they are: a POS edge has parity 0, a NEG edge parity 1, and a
+    +/- pair carries both.  A two-labelling of the transversal-free part's
+    components tracks its balance between compressions.
 
     Between insertions the transversal holds exactly ``stats["lower_bound"]``
     vertices, a proven lower bound.  Each compression starts from one vertex
@@ -344,17 +324,20 @@ def _balancing_transversal(
     opens in it when it is inserted outside the transversal and closes when
     it joins the transversal.
     """
+    if k < 0:
+        raise ValueError("k must be non-negative")
     stats["lower_bound"] = 0
-    n = len(adjacency)
+    n, neighbors, masks = graph.n, graph.neighbors, graph.masks
     in_transversal = [False] * n
     transversal: list[int] = []
-    # root[v] names v's component of the transversal-free prefix, label[v] is
-    # v's label relative to it, and members[r] lists a root's component.  A
-    # vertex outside the prefix or in the transversal is its own root.
+    # For a vertex of the transversal-free prefix, root[v] names its
+    # component, label[v] is its label relative to the root, and members[r]
+    # lists a root's component.  A vertex not yet inserted is its own root.
     root = list(range(n))
     label = [0] * n
     members = [[v] for v in range(n)]
-    solver = SeparatorSolver(n, [sorted({u for u, _ in nbrs}) for nbrs in adjacency])
+    parent, parent_sign, depth = [-1] * n, [0] * n, [0] * n  # relabelling scratch
+    solver = SeparatorSolver(n, neighbors)
     for v in range(n):
         solver.close(v)
 
@@ -363,9 +346,10 @@ def _balancing_transversal(
             raise OperationCancelled
         # v's label relative to the root of each earlier neighbour's component.
         want: dict[int, int] = {}
-        for u, p in adjacency[v]:
+        for u, mask in zip(neighbors[v], masks[v]):
             if u < v and not in_transversal[u]:
-                if want.setdefault(root[u], label[u] ^ p) != label[u] ^ p:
+                p = label[u] ^ (mask == NEG)
+                if mask == POS | NEG or want.setdefault(root[u], p) != p:
                     break  # v closes an unbalanced cycle
         else:
             if want:
@@ -388,7 +372,7 @@ def _balancing_transversal(
         transversal.append(v)
         in_transversal[v] = True
         compressed = _compress_transversal(
-            adjacency, solver, v + 1, transversal, len(transversal) - 1, cancel, stats
+            graph, solver, v + 1, transversal, len(transversal) - 1, cancel, stats
         )
         if compressed is None:
             # The prefix needs all of them, so the whole graph does too; the
@@ -406,12 +390,21 @@ def _balancing_transversal(
                 in_transversal[w] = True
                 solver.close(w)
         transversal = sorted(compressed)
-        root[:v + 1], label[:v + 1] = _prefix_labels(
-            adjacency, v + 1, compressed, "compressed transversal must leave a balanced graph"
-        )
+        # Relabel the new transversal-free prefix, each component from its
+        # lowest vertex.
+        usable = [not t for t in in_transversal[:v + 1]] + [False] * (n - v - 1)
+        label[:v + 1] = [-1] * (v + 1)
         members[:v + 1] = [[] for _ in range(v + 1)]
-        for w in range(v + 1):
-            members[root[w]].append(w)
+        for start in range(v + 1):
+            if usable[start] and label[start] < 0:
+                component, witness = _label_component(
+                    graph, start, usable, label, parent, parent_sign, depth
+                )
+                if witness is not None:
+                    raise RuntimeError("compressed transversal must leave a balanced graph")
+                for w in component:
+                    root[w] = start
+                members[start] = component
     return set(transversal)
 
 
@@ -424,18 +417,20 @@ def odd_cycle_transversal(
     """Minimum vertex set whose removal makes the graph bipartite, if <= k.
 
     Returns None when every such set is larger than k ("no" is a value, not
-    an error).  This is the compression pass of :func:`mbd_exact` with every
-    edge of parity 1.  ``stats["lower_bound"]`` holds the budget reached, a
-    proven lower bound on the optimum, also after cancellation.  ``cancel``
-    is polled during insertion and inside compression; expiry raises
-    :class:`OperationCancelled`.  An id that names no vertex, a vertex that
-    lists itself or an edge listed at one end only raises ValueError.
+    an error).  This is the compression pass of :func:`mbd_exact` on the
+    signed graph of ``adjacency`` with every edge negative, so neighbour
+    order and repeated neighbours change nothing.  ``stats["lower_bound"]``
+    holds the budget reached, a proven lower bound on the optimum, also
+    after cancellation.  ``cancel`` is polled during insertion and inside
+    compression; expiry raises :class:`OperationCancelled`.  An id that
+    names no vertex, a vertex that lists itself, an edge listed at one end
+    only or a negative ``k`` raises ValueError.
     """
-    if k < 0:
-        raise ValueError("k must be non-negative")
     _check_adjacency(adjacency)
-    signed = [[(u, 1) for u in nbrs] for nbrs in adjacency]
-    return _balancing_transversal(signed, k, cancel, {} if stats is None else stats)
+    graph = SignedGraph.from_edges(
+        len(adjacency), ((v, u, -1) for v, nbrs in enumerate(adjacency) for u in nbrs)
+    )
+    return _balancing_transversal(graph, k, cancel, {} if stats is None else stats)
 
 
 def mbd_exact(
@@ -445,23 +440,17 @@ def mbd_exact(
 ) -> ExactResult:
     """Minimum balanced deletion by one growing-budget compression pass.
 
-    The signed adjacency (positive edges of parity 0, negative of parity 1)
-    is compressed with ``k_max`` (default: the vertex count) as its cap, and
-    the deletion is re-verified against the graph.  Cancellation yields a
-    "timeout" result carrying the proven lower bound; exhausting ``k_max``
-    raises :class:`DeletionBudgetError`.
+    The graph is compressed with ``k_max`` (default: the vertex count) as
+    its cap, and the deletion is re-verified against the graph.
+    Cancellation yields a "timeout" result carrying the proven lower bound;
+    exhausting ``k_max`` raises :class:`DeletionBudgetError`, and a negative
+    ``k_max`` raises ValueError.
     """
     started = time.perf_counter()
-    neighbors, masks = graph.neighbors, graph.masks
-    adjacency = [
-        [(u, p) for u, m in zip(neighbors[v], masks[v])
-         for p, bit in ((0, POS), (1, NEG)) if m & bit]
-        for v in range(graph.n)
-    ]
     cap = graph.n if k_max is None else k_max
     stats: dict = {}
     try:
-        deletion = _balancing_transversal(adjacency, cap, cancel, stats)
+        deletion = _balancing_transversal(graph, cap, cancel, stats)
     except OperationCancelled:
         return ExactResult(
             status="timeout",

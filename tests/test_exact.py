@@ -77,10 +77,11 @@ OPTIMIZED_SCRIPT = """
 import json
 from refnet import exact
 from refnet.flow import SeparatorSolver
+from refnet.signed_graph import SignedGraph
 
 triangle = [[1, 2], [0, 2], [0, 1]]
-signed_triangle = [[(u, 1) for u in nbrs] for nbrs in triangle]
-plus_minus_pair = [[(1, 0), (1, 1)], [(0, 0), (0, 1)]]
+negative_triangle = SignedGraph.from_edges(3, [(0, 1, -1), (0, 2, -1), (1, 2, -1)])
+plus_minus_pair = SignedGraph.from_edges(2, [(0, 1, 1), (0, 1, -1)])
 
 def run(call):
     try:
@@ -100,7 +101,7 @@ out = {
     # An empty transversal leaves the triangle, or a +/- pair, for the
     # reference labelling.
     "coloring": run(lambda: exact._compress_transversal(
-        signed_triangle, SeparatorSolver(3, triangle), 3, [], 0, None, {})),
+        negative_triangle, SeparatorSolver(3, triangle), 3, [], 0, None, {})),
     "pair": run(lambda: exact._compress_transversal(
         plus_minus_pair, SeparatorSolver(2, [[1], [0]]), 2, [], 0, None, {})),
     "separator": run(false_flow),
@@ -194,11 +195,25 @@ class TestOddCycleTransversal:
             assert min_oct(adj) == brute_force_oct(adj)[0]
 
     def test_deterministic(self):
+        # The same transversal on a rerun, and from neighbour lists that are
+        # shuffled and list some neighbours more than once.
         rng = random.Random(53)
-        for _ in range(20):
-            adj = simple_adjacency(rng)
+        shuffler = random.Random(54)
+        for _ in range(40):
+            adj = simple_adjacency(rng, n_max=16)
             k = min_oct(adj)
-            assert odd_cycle_transversal(adj, k) == odd_cycle_transversal(adj, k)
+            sol = odd_cycle_transversal(adj, k)
+            assert odd_cycle_transversal(adj, k) == sol
+            messy = []
+            for nbrs in adj:
+                row = nbrs + shuffler.choices(nbrs, k=shuffler.randint(0, len(nbrs)))
+                shuffler.shuffle(row)
+                messy.append(row)
+            stats = {}
+            assert odd_cycle_transversal(messy, len(adj), stats=stats) == sol
+            assert stats["lower_bound"] == k
+            if k:
+                assert odd_cycle_transversal(messy, k - 1) is None
 
     def test_cancellation(self):
         token = CancelToken()
@@ -233,7 +248,7 @@ class TestOddCycleTransversal:
         assert stats["lower_bound"] == 9
 
     def test_rejects_negative_k(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="k must be non-negative"):
             odd_cycle_transversal([[1], [0]], -1)
 
     def test_generous_cap_still_returns_a_minimum(self):
@@ -355,6 +370,14 @@ class TestMbdExact:
         with pytest.raises(DeletionBudgetError):
             mbd_exact(g, k_max=0)
 
+    def test_negative_k_max_raises(self):
+        # Rejected before any work, on a balanced graph (which would need no
+        # deletion) and an unbalanced one alike, as odd_cycle_transversal
+        # rejects a negative k.
+        for g in (random_balanced_graph(random.Random(54)), fig_graph()):
+            with pytest.raises(ValueError, match="k must be non-negative"):
+                mbd_exact(g, k_max=-1)
+
     def test_optimality_certificate(self):
         # sweeping upward means no smaller deletion can exist; cross-check by
         # trying all subsets one size below
@@ -399,8 +422,8 @@ def test_every_compression_starts_one_over_its_budget(monkeypatch):
     calls = []
     compress = exact_module._compress_transversal
 
-    def checked(adjacency, solver, upto, transversal, budget, cancel, stats):
-        result = compress(adjacency, solver, upto, transversal, budget, cancel, stats)
+    def checked(graph, solver, upto, transversal, budget, cancel, stats):
+        result = compress(graph, solver, upto, transversal, budget, cancel, stats)
         calls.append((len(transversal), budget, None if result is None else len(result)))
         return result
 

@@ -50,7 +50,7 @@ from refnet.signed_graph import (
     NEG,
     POS,
     SignedGraph,
-    _label_component,
+    disjoint_unbalanced_cycles,
     is_balanced,
 )
 
@@ -116,7 +116,8 @@ class ExactResult(NamedTuple):
     ``deletion`` balances the graph and no smaller set does (the growing
     budget proves both).  ``lower_bound`` is proven: every balanced
     deletion has at least that many vertices; it equals ``k`` on "optimal"
-    and is the budget reached on "timeout".  ``nodes_explored`` counts the
+    and on "timeout" is the budget reached or the number of vertex-disjoint
+    unbalanced cycles, whichever is larger.  ``nodes_explored`` counts the
     nodes of the pruned split search examined across all compression steps
     (partial splits as well as complete ones).
     """
@@ -312,7 +313,10 @@ def _balancing_transversal(
     over vertices in ascending order, reading the graph's neighbour and mask
     lists as they are: a POS edge has parity 0, a NEG edge parity 1, and a
     +/- pair carries both.  A two-labelling of the transversal-free part's
-    components tracks its balance between compressions.
+    components tracks its balance, built by one routine, ``place``: an
+    inserted vertex is placed into it, or joins the transversal if it closes
+    an unbalanced cycle, and a successful compression places the new
+    transversal-free prefix again from singletons, in ascending order.
 
     Between insertions the transversal holds exactly ``stats["lower_bound"]``
     vertices, a proven lower bound.  Each compression starts from one vertex
@@ -332,41 +336,44 @@ def _balancing_transversal(
     transversal: list[int] = []
     # For a vertex of the transversal-free prefix, root[v] names its
     # component, label[v] is its label relative to the root, and members[r]
-    # lists a root's component.  A vertex not yet inserted is its own root.
+    # lists a root's component.  A vertex not yet placed is its own root.
     root = list(range(n))
     label = [0] * n
     members = [[v] for v in range(n)]
-    parent, parent_sign, depth = [-1] * n, [0] * n, [0] * n  # relabelling scratch
     solver = SeparatorSolver(n, neighbors)
     for v in range(n):
         solver.close(v)
 
+    def place(w: int) -> bool:
+        # Label w against the placed vertices below it; False, with nothing
+        # changed, if w closes an unbalanced cycle.  want maps the root of
+        # each earlier neighbour's component to w's label relative to it.
+        want: dict[int, int] = {}
+        for u, mask in zip(neighbors[w], masks[w]):
+            if u < w and not in_transversal[u]:
+                p = label[u] ^ (mask == NEG)
+                if mask == POS | NEG or want.setdefault(root[u], p) != p:
+                    return False
+        if want:
+            # w and every component it touches join the largest one: merging
+            # small into large relabels a vertex at most log2(n) times.
+            top = max(want, key=lambda r: len(members[r]))
+            p_top = want[top]
+            root[w], label[w] = top, p_top
+            members[top].append(w)
+            for r, p_r in want.items():
+                if r != top:
+                    for x in members[r]:
+                        root[x] = top
+                        label[x] ^= p_r ^ p_top
+                    members[top] += members[r]
+                    members[r] = []
+        return True
+
     for v in range(n):
         if cancel is not None and cancel.expired():
             raise OperationCancelled
-        # v's label relative to the root of each earlier neighbour's component.
-        want: dict[int, int] = {}
-        for u, mask in zip(neighbors[v], masks[v]):
-            if u < v and not in_transversal[u]:
-                p = label[u] ^ (mask == NEG)
-                if mask == POS | NEG or want.setdefault(root[u], p) != p:
-                    break  # v closes an unbalanced cycle
-        else:
-            if want:
-                # v and every other component it touches join the largest
-                # one: merging small into large relabels a vertex at most
-                # log2(n) times.
-                top = max(want, key=lambda r: len(members[r]))
-                p_top = want[top]
-                root[v], label[v] = top, p_top
-                members[top].append(v)
-                for r, p_r in want.items():
-                    if r != top:
-                        for w in members[r]:
-                            root[w] = top
-                            label[w] ^= p_r ^ p_top
-                        members[top] += members[r]
-                        members[r] = []
+        if place(v):
             solver.open(v)
             continue
         transversal.append(v)
@@ -390,21 +397,13 @@ def _balancing_transversal(
                 in_transversal[w] = True
                 solver.close(w)
         transversal = sorted(compressed)
-        # Relabel the new transversal-free prefix, each component from its
-        # lowest vertex.
-        usable = [not t for t in in_transversal[:v + 1]] + [False] * (n - v - 1)
-        label[:v + 1] = [-1] * (v + 1)
-        members[:v + 1] = [[] for _ in range(v + 1)]
-        for start in range(v + 1):
-            if usable[start] and label[start] < 0:
-                component, witness = _label_component(
-                    graph, start, usable, label, parent, parent_sign, depth
-                )
-                if witness is not None:
-                    raise RuntimeError("compressed transversal must leave a balanced graph")
-                for w in component:
-                    root[w] = start
-                members[start] = component
+        # Place the new transversal-free prefix again, from singletons.
+        root[:v + 1] = range(v + 1)
+        label[:v + 1] = [0] * (v + 1)
+        members[:v + 1] = [[w] for w in range(v + 1)]
+        for w in range(v + 1):
+            if not in_transversal[w] and not place(w):
+                raise RuntimeError("compressed transversal must leave a balanced graph")
     return set(transversal)
 
 
@@ -456,7 +455,7 @@ def mbd_exact(
             status="timeout",
             deletion=None,
             k=None,
-            lower_bound=stats["lower_bound"],
+            lower_bound=max(stats["lower_bound"], len(disjoint_unbalanced_cycles(graph))),
             elapsed=time.perf_counter() - started,
             nodes_explored=stats.get("splits", 0),
         )

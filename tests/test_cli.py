@@ -212,14 +212,16 @@ class TestExact:
         payload = json.loads(capsys.readouterr().out)
         assert payload["status"] == "timeout"
         assert payload["k"] == "---"
-        assert payload["lower_bound"] == 0
+        # the budget reached is 0, but the +/- pair of rows 3 and 4 is a
+        # disjoint unbalanced cycle, as in `refnet extract`'s bound
+        assert payload["lower_bound"] == 1
 
     def test_timeout_lower_bound_in_table_and_csv(self, fig_coord, capsys):
         assert main(["exact", str(fig_coord), "--timeout", "0"]) == 0
-        assert "lower_bound  0" in capsys.readouterr().out
+        assert "lower_bound  1" in capsys.readouterr().out
         assert main(["exact", str(fig_coord), "--timeout", "0", "--out", "csv"]) == 0
         header, row = csv.reader(capsys.readouterr().out.splitlines())
-        assert row[header.index("lower_bound")] == "0"
+        assert row[header.index("lower_bound")] == "1"
 
     def test_max_k_exhausted(self, fig_coord, capsys):
         assert main(["exact", str(fig_coord), "--max-k", "0", "--out", "json"]) == 0
@@ -258,16 +260,16 @@ class TestExact:
                     "n            10\n"
                     "status       timeout\n"
                     "k            ---\n"
-                    "lower_bound  0\n"
+                    "lower_bound  3\n"
                     "elapsed_s    X\n"
                 ),
                 "json": (
                     '{\n  "instance": "pin",\n  "n": 10,\n  "status": "timeout",\n'
-                    '  "k": "---",\n  "lower_bound": 0,\n  "elapsed_s": X\n}\n'
+                    '  "k": "---",\n  "lower_bound": 3,\n  "elapsed_s": X\n}\n'
                 ),
                 "csv": (
                     "instance,n,status,k,lower_bound,elapsed_s\r\n"
-                    "pin,10,timeout,---,0,X\r\n"
+                    "pin,10,timeout,---,3,X\r\n"
                 ),
             }),
             (["--max-k", "0"], {

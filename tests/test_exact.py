@@ -34,7 +34,14 @@ from refnet.exact import (
     vertex_cover,
 )
 from refnet.flow import SeparatorSolver
-from refnet.signed_graph import NEG, POS, SignedGraph, induced_subgraph, is_balanced
+from refnet.signed_graph import (
+    NEG,
+    POS,
+    SignedGraph,
+    disjoint_unbalanced_cycles,
+    induced_subgraph,
+    is_balanced,
+)
 
 
 def fig_graph() -> SignedGraph:
@@ -340,7 +347,8 @@ class TestMbdExact:
         result = mbd_exact(fig_graph(), cancel=token)
         assert result.status == "timeout"
         assert result.deletion is None and result.k is None
-        assert result.lower_bound == 0
+        # no budget was reached; the +/- pair is a disjoint unbalanced cycle
+        assert result.lower_bound == 1
 
     def test_timeout_mid_run_reports_proven_lower_bound(self):
         # all-negative K8: balancing it is bipartizing K8, optimum 6
@@ -350,6 +358,41 @@ class TestMbdExact:
         assert result.status == "timeout"
         assert 0 < result.lower_bound <= 6
         assert mbd_exact(g).lower_bound == 6
+
+    def test_timeout_bound_is_the_larger_proven_bound(self):
+        # Cancelled at several polls, a solve reports at least the disjoint
+        # cycle packing and never more than the optimum: brute force on small
+        # graphs, and on frustrated graphs the solver's own k, which
+        # TestDisjointUnbalancedCycles checks against the integer program.
+        rng = random.Random(64)
+        cases = []
+        for _ in range(30):
+            g = random_signed_graph(rng, n_max=14, n_min=6)
+            cases.append((g, brute_force_mbd(g)[0]))
+        rng = random.Random(19)
+        for i in range(6):
+            n = rng.randint(40, 100)
+            g = frustrated_graph(n, 3, n // 10, 1900 + i)
+            cases.append((g, mbd_exact(g).k))
+
+        class CountingToken(CancelToken):
+            polls = 0
+
+            def expired(self) -> bool:
+                self.polls += 1
+                return False
+
+        above_packing = 0
+        for g, optimum in cases:
+            packing = len(disjoint_unbalanced_cycles(g))
+            counter = CountingToken()
+            mbd_exact(g, cancel=counter)
+            for j in sorted({0, 1, counter.polls // 3, 2 * counter.polls // 3, counter.polls - 1}):
+                result = mbd_exact(g, cancel=CancelAfter(j))
+                assert result.status == "timeout"
+                assert packing <= result.lower_bound <= optimum
+                above_packing += result.lower_bound > packing
+        assert above_packing > 0
 
     def test_matches_milp_above_brute_force_limit(self):
         # planted graphs beyond the 24-vertex oracle: the one growing-budget

@@ -20,6 +20,7 @@ input files and out-of-range options, 3 for I/O errors.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import io
 import json
 import random
@@ -299,23 +300,27 @@ def cmd_bench(args: argparse.Namespace) -> int:
     directory = Path(args.dir)
     if not directory.is_dir():
         raise OSError(f"{directory} is not a directory")
+    # The full name breaks stem ties (a.coord, a.sif), so rows never follow
+    # the filesystem's listing order.
     paths = sorted(
-        (p for p in directory.iterdir() if p.is_file()), key=lambda p: p.stem
+        (p for p in directory.iterdir() if p.is_file()), key=lambda p: (p.stem, p.name)
     )
     tasks = [(str(p), args.seed, args.timeout, args.no_scaling) for p in paths]
-    if args.jobs > 1 and len(tasks) > 1:
-        # Imported here, not at the top: loading the process pool would add
-        # to every CLI start-up, and only a parallel bench uses it.
-        from concurrent.futures import ProcessPoolExecutor
+    records = []
+    with contextlib.ExitStack() as stack:
+        if args.jobs > 1 and len(tasks) > 1:  # map() needs at least one iterable
+            # Imported here, not at the top: loading the process pool would
+            # add to every CLI start-up, and only a parallel bench uses it.
+            from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            records = list(pool.map(_bench_one, *zip(*tasks)))
-    else:
-        records = []
-        for task in tasks:
-            records.append(_bench_one(*task))
-            print(f"done: {records[-1].instance} [{records[-1].status}]", file=sys.stderr)
-    records.sort(key=lambda r: r.instance)
+            pool = stack.enter_context(ProcessPoolExecutor(max_workers=args.jobs))
+            results = pool.map(_bench_one, *zip(*tasks))
+        else:
+            results = (_bench_one(*task) for task in tasks)
+        # Both paths yield in input order, which is the CSV row order.
+        for record in results:
+            records.append(record)
+            print(f"done: {record.instance} [{record.status}]", file=sys.stderr)
     text = _bench_csv(records)
     if args.out:
         Path(args.out).write_text(text)

@@ -64,8 +64,8 @@ class SpanningForest(NamedTuple):
     """Rooted spanning forest with per-edge signs.
 
     ``parent[v]`` is -1 exactly for roots; ``parent_sign[v]`` is the sign of
-    the tree edge to the parent (0 for roots).  For a +/- parallel pair the
-    recorded sign is the one the traversal actually took.
+    the tree edge to the parent (0 for roots).  A tree edge over a +/-
+    parallel pair records its positive edge, in every forest.
     """
 
     n: int
@@ -99,12 +99,6 @@ class HeuristicResult(NamedTuple):
     seed: int | None
     elapsed: float
     cover: str = "greedy"
-
-
-def _attach_sign(mask: int) -> int:
-    # A +/- parallel pair enters the forest through its positive edge; any
-    # choice leaves the pair's negative 2-cycle for the independent-set step.
-    return -1 if mask == NEG else 1
 
 
 class _RankTree:
@@ -164,9 +158,11 @@ def _ranked_neighbors(
 def _tree_signs(graph: SignedGraph, parent: list[int]) -> tuple[int, ...]:
     """Each vertex's tree-edge sign, its mask looked up once (0 for roots)."""
     neighbors, masks = graph.neighbors, graph.masks
+    # A +/- parallel pair enters the forest through its positive edge; any
+    # choice leaves the pair's negative 2-cycle for the independent-set step.
     return tuple(
         [
-            0 if p < 0 else _attach_sign(masks[v][bisect_left(neighbors[v], p)])
+            0 if p < 0 else -1 if masks[v][bisect_left(neighbors[v], p)] == NEG else 1
             for v, p in enumerate(parent)
         ]
     )
@@ -185,43 +181,38 @@ def forest_rs(
 
     A vertex's rank is its position in ``order`` (default: the identity).
     Restart roots are drawn by rank among the unmarked vertices, and a newly
-    marked vertex queues its neighbors in ascending rank.
+    marked vertex queues its neighbors in ascending rank.  Tree-edge signs
+    follow the rule of :func:`forest_bfs` and :func:`forest_dfs`.
     """
     n = graph.n
+    adjacency = _ranked_neighbors(graph, order)
+    neighbors, masks = graph.neighbors, graph.masks
     if order is None:
         order = rank = range(n)
-        neighbors, masks = graph.neighbors, graph.masks
     else:
-        # The bucket pass of _ranked_neighbors, keeping the masks alongside.
-        _check_order(order, n)
-        graph_neighbors, graph_masks = graph.neighbors, graph.masks
         rank = [0] * n
-        neighbors = [[] for _ in range(n)]
-        masks = [[] for _ in range(n)]
         for j, v in enumerate(order):
             rank[v] = j
-            for u, m in zip(graph_neighbors[v], graph_masks[v]):
-                neighbors[u].append(v)
-                masks[u].append(m)
     marked = [False] * n
     parent = [-1] * n
-    parent_sign = [0] * n
     roots: list[int] = []
-    # Pending (unmarked, marked, sign) pairs; parallel couples wait apart.
-    singles: list[tuple[int, int, int]] = []
-    doubles: list[tuple[int, int, int]] = []
+    # Pending (unmarked, marked) pairs; parallel couples wait apart.
+    singles: list[tuple[int, int]] = []
+    doubles: list[tuple[int, int]] = []
 
     unmarked = _RankTree(n)
 
     def mark(v: int) -> None:
         marked[v] = True
         unmarked.remove(rank[v])
-        for u, m in zip(neighbors[v], masks[v]):
+        own, own_masks = neighbors[v], masks[v]
+        for u in adjacency[v]:
             if not marked[u]:
+                m = own_masks[bisect_left(own, u)]
                 pending = doubles if m == POS | NEG else singles
-                pending.append((u, v, _attach_sign(m)))
+                pending.append((u, v))
 
-    def draw(pool: list[tuple[int, int, int]]) -> tuple[int, int, int] | None:
+    def draw(pool: list[tuple[int, int]]) -> tuple[int, int] | None:
         while pool:
             i = rng.randrange(len(pool))
             item = pool[i]
@@ -241,12 +232,11 @@ def forest_rs(
             item = draw(singles) or draw(doubles)
             if item is None:
                 break
-            u, v, sign = item
+            u, v = item
             parent[u] = v
-            parent_sign[u] = sign
             mark(u)
             remaining -= 1
-    return SpanningForest(n, tuple(parent), tuple(parent_sign), tuple(roots))
+    return SpanningForest(n, tuple(parent), _tree_signs(graph, parent), tuple(roots))
 
 
 def forest_bfs(

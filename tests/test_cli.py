@@ -437,6 +437,26 @@ class TestBench:
             )
             assert int(footer["# exact sol."][col[name]]) == hits
 
+    def test_row_order_ignores_listing_order(self, tmp_path, capsys, monkeypatch):
+        directory = make_bench_dir(tmp_path)
+        # Two files share a stem; their full names must order their rows.
+        (directory / "twin.coord").write_text(network_coord())
+        (directory / "twin.sif").write_text(write_mps(matrix_realizing(fig_graph())))
+        argv = ["bench", str(directory), "--timeout", "60", "--seed", "3"]
+        assert main(argv) == 0
+        header, listed, _ = read_bench_csv(capsys.readouterr().out)
+        listing = Path.iterdir
+        monkeypatch.setattr(Path, "iterdir", lambda p: reversed(list(listing(p))))
+        assert main(argv) == 0
+        _, reversed_rows, _ = read_bench_csv(capsys.readouterr().out)
+        timing = {header.index("t"), header.index("t1")}
+        strip = lambda rows: [
+            [cell for i, cell in enumerate(row) if i not in timing] for row in rows
+        ]
+        assert strip(listed) == strip(reversed_rows)
+        n = header.index("n")
+        assert [row[n] for row in listed if row[0] == "twin"] == ["3", "4"]
+
     def test_empty_directory(self, tmp_path, capsys):
         directory = tmp_path / "empty"
         directory.mkdir()
@@ -521,7 +541,13 @@ class TestBench:
                 ["bench", str(directory), "--timeout", "60", "--seed", "2",
                  "--jobs", jobs]
             ) == 0
-            outputs.append(capsys.readouterr().out)
+            captured = capsys.readouterr()
+            outputs.append(captured.out)
+            # Every --jobs reports each instance once, in CSV row order.
+            _, data, _ = read_bench_csv(captured.out)
+            done = [line for line in captured.err.splitlines() if line.startswith("done:")]
+            assert done == [f"done: {row[0]} [{row[-1]}]" for row in data]
+            assert len(done) == 3
         parsed = [read_bench_csv(text) for text in outputs]
         timing = {parsed[0][0].index("t"), parsed[0][0].index("t1")}
         for (h, d, _), (h2, d2, _) in [(parsed[0], parsed[1])]:

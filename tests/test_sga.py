@@ -28,6 +28,8 @@ from refnet.sga import (
 )
 from refnet.exact import vertex_cover
 from refnet.signed_graph import (
+    NEG,
+    POS,
     SignedGraph,
     induced_subgraph,
     is_balanced,
@@ -65,6 +67,9 @@ def check_forest(graph, forest):
             continue
         n_tree_edges += 1
         assert edge_in_graph(graph, v, p, forest.parent_sign[v])
+        # every forest takes a +/- pair through its positive edge
+        if pair_mask(graph, v, p) == POS | NEG:
+            assert forest.parent_sign[v] == 1
         # walk to a root without revisiting anything: forests are acyclic
         seen = {v}
         x = p
@@ -76,7 +81,7 @@ def check_forest(graph, forest):
 
 
 ALL_FORESTS = [
-    ("RS", lambda g: forest_rs(g, random.Random(7))),
+    ("RS", lambda g, **kw: forest_rs(g, random.Random(7), **kw)),
     ("BFS", forest_bfs),
     ("DFS", forest_dfs),
 ]
@@ -85,10 +90,13 @@ ALL_FORESTS = [
 class TestForests:
     @pytest.mark.parametrize("name,builder", ALL_FORESTS)
     def test_forest_properties_random(self, name, builder):
-        rng = random.Random(20)
+        rng, shuffler = random.Random(20), random.Random(21)
         for _ in range(40):
             g = random_signed_graph(rng)
             check_forest(g, builder(g))
+            order = list(range(g.n))
+            shuffler.shuffle(order)
+            check_forest(g, builder(g, order=order))
 
     @pytest.mark.parametrize("name,builder", ALL_FORESTS)
     def test_single_vertex(self, name, builder):

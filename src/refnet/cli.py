@@ -20,6 +20,7 @@ input files and out-of-range options, 3 for I/O errors.
 from __future__ import annotations
 
 import argparse
+import collections
 import contextlib
 import io
 import json
@@ -190,12 +191,12 @@ class BenchRecord(NamedTuple):
     error: str = ""
 
 
-def _bench_one(path_str: str, seed: int, timeout: float, no_scaling: bool) -> BenchRecord:
+def _bench_one(file: str, name: str, seed: int, timeout: float, no_scaling: bool) -> BenchRecord:
     import statistics
 
     from refnet.exact import CancelToken, mbd_exact
 
-    path = Path(path_str)
+    path = Path(file)
     n = 0
     try:
         _, graph = _prepare(path, "auto", no_scaling)
@@ -210,15 +211,15 @@ def _bench_one(path_str: str, seed: int, timeout: float, no_scaling: bool) -> Be
                     singles.append(result.elapsed)
         exact = mbd_exact(graph, cancel=CancelToken.after(timeout))
     except (MatrixFormatError, OSError) as exc:
-        return BenchRecord(path.stem, n, seed, "error", error=str(exc))
+        return BenchRecord(name, n, seed, "error", error=str(exc))
     except Exception as exc:  # one bad instance must not abort the whole run
         import traceback
 
         traceback.print_exc(file=sys.stderr)
-        return BenchRecord(path.stem, n, seed, "error", error=f"{type(exc).__name__}: {exc}")
+        return BenchRecord(name, n, seed, "error", error=f"{type(exc).__name__}: {exc}")
     timed_out = exact.status == "timeout"
     return BenchRecord(
-        instance=path.stem,
+        instance=name,
         n=n,
         seed=seed,
         status="ok",
@@ -301,11 +302,16 @@ def cmd_bench(args: argparse.Namespace) -> int:
     if not directory.is_dir():
         raise OSError(f"{directory} is not a directory")
     # The full name breaks stem ties (a.coord, a.sif), so rows never follow
-    # the filesystem's listing order.
+    # the filesystem's listing order, and it names the rows of such a tie.
     paths = sorted(
         (p for p in directory.iterdir() if p.is_file()), key=lambda p: (p.stem, p.name)
     )
-    tasks = [(str(p), args.seed, args.timeout, args.no_scaling) for p in paths]
+    stems = collections.Counter(p.stem for p in paths)
+    names = [p.name if stems[p.stem] > 1 else p.stem for p in paths]
+    tasks = [
+        (str(p), name, args.seed, args.timeout, args.no_scaling)
+        for p, name in zip(paths, names)
+    ]
     records = []
     with contextlib.ExitStack() as stack:
         if args.jobs > 1 and len(tasks) > 1:  # map() needs at least one iterable

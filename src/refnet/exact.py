@@ -50,6 +50,7 @@ from refnet.signed_graph import (
     NEG,
     POS,
     SignedGraph,
+    _spanning_trees,
     disjoint_unbalanced_cycles,
     is_balanced,
 )
@@ -528,13 +529,14 @@ def vertex_cover(
 ) -> set[int] | None:
     """Minimum vertex cover if one of size <= k exists, else None.
 
-    Each connected component is searched on its own, members renumbered in
-    ascending order.  Its edges in a greedy maximal matching bound its cover
-    from below, and bounds summing above k return None at once.  A
-    component's size then rises from its bound, each step spending the
-    slack k leaves, through a decision search: kernel rules (degree-1
-    neighbour, high degree, edge count), then take a maximum-degree vertex
-    or its whole neighbourhood.  The cover is the same set for every k >= the minimum.
+    Each connected component (a :func:`~refnet.signed_graph._spanning_trees`
+    tree) is searched on its own, members renumbered in ascending order.
+    Its edges in a greedy maximal matching bound its cover from below, and
+    bounds summing above k return None at once.  A component's size then
+    rises from its bound, each step spending the slack k leaves, through a
+    decision search: kernel rules (degree-1 neighbour, high degree, edge
+    count), then take a maximum-degree vertex or its whole neighbourhood.
+    The cover is the same set for every k >= the minimum.
     Worst case around 2^c subproblems per size, c the component's minimum.
     Malformed adjacency raises ValueError, as in :func:`odd_cycle_transversal`.
     """
@@ -550,18 +552,8 @@ def vertex_cover(
     slack = k - sum(matched) // 2
     if slack < 0:
         return None
-    seen = [False] * n
     cover: set[int] = set()
-    for start in range(n):
-        if seen[start] or not adjacency[start]:
-            continue
-        seen[start] = True
-        members = [start]
-        for v in members:
-            for u in adjacency[v]:
-                if not seen[u]:
-                    seen[u] = True
-                    members.append(u)
+    for members in _spanning_trees(adjacency, [bool(nbrs) for nbrs in adjacency], range(n))[0]:
         members.sort()
         local = {v: i for i, v in enumerate(members)}
         size = sum(matched[v] for v in members) // 2

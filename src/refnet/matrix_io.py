@@ -395,8 +395,7 @@ def parse_mps(text: str | bytes) -> SparseMatrix:
                 r = rows.get(row_name)
                 if r is None:
                     raise MatrixFormatError(f"undeclared row {row_name!r}", line_no)
-                token = tokens[k + 1]
-                value = numerals[token] if token in numerals else _numeral(token, line_no, numerals)
+                value = _numeral(tokens[k + 1], line_no, numerals)
                 if r < 0:
                     continue  # objective/free coefficients are not constraints
                 if value is None:

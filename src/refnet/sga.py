@@ -42,13 +42,13 @@ import heapq
 import random
 import time
 from bisect import bisect_left
-from collections import deque
 from typing import Callable, NamedTuple, Sequence
 
 from refnet.signed_graph import (
     NEG,
     POS,
     SignedGraph,
+    _spanning_trees,
     disjoint_unbalanced_cycles,
     is_balanced,
 )
@@ -242,30 +242,17 @@ def forest_rs(
 def forest_bfs(
     graph: SignedGraph, *, order: Sequence[int] | None = None
 ) -> SpanningForest:
-    """Breadth-first forest; every restart picks an unmarked vertex of
-    maximum degree, ties to the lowest rank (position in ``order``, default
-    the identity), and neighbors are scanned in ascending rank."""
+    """Breadth-first forest from :func:`~refnet.signed_graph._spanning_trees`:
+    every restart picks an unmarked vertex of maximum degree, ties to the
+    lowest rank (position in ``order``, default the identity), and neighbors
+    are scanned in ascending rank."""
     n = graph.n
     adjacency = _ranked_neighbors(graph, order)
-    marked = [False] * n
-    parent = [-1] * n
-    roots: list[int] = []
     # A stable sort keeps ascending ranks within each degree.
-    starts = range(n) if order is None else order
-    for root in sorted(starts, key=lambda v: -len(adjacency[v])):
-        if marked[root]:
-            continue
-        roots.append(root)
-        marked[root] = True
-        queue = deque([root])
-        while queue:
-            v = queue.popleft()
-            for u in adjacency[v]:
-                if not marked[u]:
-                    marked[u] = True
-                    parent[u] = v
-                    queue.append(u)
-    return SpanningForest(n, tuple(parent), _tree_signs(graph, parent), tuple(roots))
+    starts = sorted(range(n) if order is None else order, key=lambda v: -len(adjacency[v]))
+    trees, parent = _spanning_trees(adjacency, [True] * n, starts)
+    roots = tuple([tree[0] for tree in trees])
+    return SpanningForest(n, tuple(parent), _tree_signs(graph, parent), roots)
 
 
 def forest_dfs(
@@ -420,11 +407,12 @@ def _certified_reflection(
     ``inside[v]`` says whether v is in the switch set.  Every edge between
     retained vertices must be positive after switching that set, which
     makes it a balancing switch of the retained subgraph; a violation
-    raises :class:`RuntimeError`.  Components are entered in ascending rank
-    (position in ``order``, default the identity), and the reflection holds
-    the vertices whose switch side differs from their component's
-    lowest-ranked vertex: the switch set :func:`is_balanced` reports for the
-    same subgraph relabelled by rank.
+    raises :class:`RuntimeError`.  The retained subgraph's
+    :func:`~refnet.signed_graph._spanning_trees` are rooted in ascending
+    rank (position in ``order``, default the identity), and the reflection
+    holds the vertices whose switch side differs from their tree's root:
+    the switch set :func:`is_balanced` reports for the same subgraph
+    relabelled by rank.
     """
     n = graph.n
     for u, v, m in graph.pairs:
@@ -434,24 +422,8 @@ def _certified_reflection(
                 " edge after the forest's switch; the independent-set"
                 " step returned a dependent set"
             )
-    neighbors = graph.neighbors
-    unseen = list(keep)  # retained vertices no component has entered yet
-    reflection: list[int] = []
-    for start in range(n) if order is None else order:
-        if not unseen[start]:
-            continue
-        unseen[start] = False
-        side = inside[start]
-        stack = [start]
-        while stack:
-            v = stack.pop()
-            if inside[v] != side:
-                reflection.append(v)
-            for u in neighbors[v]:
-                if unseen[u]:
-                    unseen[u] = False
-                    stack.append(u)
-    return frozenset(reflection)
+    trees, _ = _spanning_trees(graph.neighbors, keep, range(n) if order is None else order)
+    return frozenset([v for tree in trees for v in tree if inside[v] != inside[tree[0]]])
 
 
 def _pass(

@@ -205,6 +205,35 @@ def build_signed_graph(matrix: SparseMatrix) -> SignedGraph:
     return graph
 
 
+def _spanning_trees(
+    neighbors: Sequence[Iterable[int]], usable: Sequence[bool], starts: Iterable[int]
+) -> tuple[list[list[int]], list[int]]:
+    """Breadth-first spanning trees of the components among the usable vertices.
+
+    Components are entered in ``starts`` order, skipping a start that is
+    unusable or already reached; each vertex scans its ``neighbors`` in list
+    order, and each tree lists its vertices in that visiting order, root
+    first.  ``parent[v]`` is v's tree parent, -1 for a root or an unreached
+    vertex.  ``usable`` is read, not modified.
+    """
+    unreached = list(usable)
+    parent = [-1] * len(neighbors)
+    trees: list[list[int]] = []
+    for root in starts:
+        if not unreached[root]:
+            continue
+        unreached[root] = False
+        tree = [root]
+        for v in tree:  # the list is its own queue
+            for u in neighbors[v]:
+                if unreached[u]:
+                    unreached[u] = False
+                    parent[u] = v
+                    tree.append(u)
+        trees.append(tree)
+    return trees, parent
+
+
 def _witness_cycle(
     u: int,
     v: int,

@@ -444,7 +444,9 @@ class TestBench:
         (directory / "twin.sif").write_text(write_mps(matrix_realizing(fig_graph())))
         argv = ["bench", str(directory), "--timeout", "60", "--seed", "3"]
         assert main(argv) == 0
-        header, listed, _ = read_bench_csv(capsys.readouterr().out)
+        captured = capsys.readouterr()
+        assert "done: twin.coord [ok]" in captured.err.splitlines()
+        header, listed, _ = read_bench_csv(captured.out)
         listing = Path.iterdir
         monkeypatch.setattr(Path, "iterdir", lambda p: reversed(list(listing(p))))
         assert main(argv) == 0
@@ -454,8 +456,12 @@ class TestBench:
             [cell for i, cell in enumerate(row) if i not in timing] for row in rows
         ]
         assert strip(listed) == strip(reversed_rows)
+        # A shared stem names each row by its file; the others keep their stem.
         n = header.index("n")
-        assert [row[n] for row in listed if row[0] == "twin"] == ["3", "4"]
+        assert [(row[0], row[n]) for row in listed] == [
+            ("balanced", "3"), ("fig", "4"), ("random", "8"),
+            ("twin.coord", "3"), ("twin.sif", "4"),
+        ]
 
     def test_empty_directory(self, tmp_path, capsys):
         directory = tmp_path / "empty"

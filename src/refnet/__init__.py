@@ -36,7 +36,6 @@ from refnet.signed_graph import (
     is_balanced,
 )
 from refnet.sga import (
-    CoverBudgetError,
     HeuristicResult,
     SpanningForest,
     forest_bfs,
@@ -54,7 +53,6 @@ __version__ = "0.1.0"
 # Served by __getattr__ below (PEP 562): refnet.exact loads on first use.
 _EXACT_NAMES = (
     "CancelToken",
-    "DeletionBudgetError",
     "ExactResult",
     "OperationCancelled",
     "brute_force_mbd",
@@ -80,7 +78,6 @@ __all__ = [
     "extract_network",
     "induced_subgraph",
     "is_balanced",
-    "CoverBudgetError",
     "HeuristicResult",
     "SpanningForest",
     "forest_bfs",

@@ -7,8 +7,8 @@ Four subcommands cover the full workflow:
   the retained rows, the rows to reflect, and a lower bound on k (the
   number of vertex-disjoint unbalanced cycles).
 * ``exact``   -- same pipeline but solve minimum balanced deletion exactly
-  under a wall-clock timeout; a timeout is a result, not a failure, and
-  reports the proven lower bound reached.
+  under a wall-clock timeout; a timeout or an exhausted ``--max-k`` is a
+  result, not a failure, and reports the proven lower bound reached.
 * ``bench``   -- run all nine heuristic configurations plus the exact solver
   over a directory of instances and emit a CSV with summary footer rows.
 * ``scale``   -- apply the scaling stages and write the coordinate format.
@@ -31,7 +31,7 @@ from typing import NamedTuple
 
 from refnet.matrix_io import MatrixFormatError, SparseMatrix, dump_coord, parse_coord, parse_mps
 from refnet.scaling import scale
-from refnet.sga import STRATEGIES, CoverBudgetError, sga_repeat, sga_vc
+from refnet.sga import STRATEGIES, sga_repeat, sga_vc
 from refnet.signed_graph import SignedGraph, build_signed_graph, disjoint_unbalanced_cycles
 
 # The exact solver, csv and traceback are imported inside the commands that
@@ -95,14 +95,14 @@ def cmd_extract(args: argparse.Namespace) -> int:
     if args.vc:
         if args.repeats != 1:
             print("note: --vc runs a single pass; --repeats ignored", file=sys.stderr)
-        try:
-            result = sga_vc(
-                graph, strategy, random.Random(args.seed), vc_budget=args.vc_budget
+        result = sga_vc(graph, strategy, random.Random(args.seed), vc_budget=args.vc_budget)
+        if result.cover != "exact":
+            print(
+                "exact cover budget exhausted: no vertex cover of size"
+                f" <= {args.vc_budget} found within the budget",
+                file=sys.stderr,
             )
-        except CoverBudgetError as exc:
-            print(f"exact cover budget exhausted: {exc}", file=sys.stderr)
             print("falling back to the greedy independent-set step", file=sys.stderr)
-            result = sga_repeat(graph, 1, strategy, args.seed)
     else:
         result = sga_repeat(graph, args.repeats, strategy, args.seed)
     retained_rows = [graph.tags[v] for v in result.retained]
@@ -126,35 +126,29 @@ def cmd_extract(args: argparse.Namespace) -> int:
 
 
 def cmd_exact(args: argparse.Namespace) -> int:
-    from refnet.exact import CancelToken, DeletionBudgetError, mbd_exact
+    from refnet.exact import CancelToken, mbd_exact
 
     path = Path(args.file)
     matrix, graph = _prepare(path, args.format, args.no_scaling)
-    token = CancelToken.after(args.timeout)
-    try:
-        result = mbd_exact(graph, k_max=args.max_k, cancel=token)
-    except DeletionBudgetError as exc:
-        status, k, lower_bound = "max-k-exhausted", "---", args.max_k + 1
-        tail = {"detail": str(exc)}
+    result = mbd_exact(graph, k_max=args.max_k, cancel=CancelToken.after(args.timeout))
+    elapsed = round(result.elapsed, 4)
+    if result.status == "optimal":
+        deletion_rows = [graph.tags[v] for v in result.deletion]
+        tail = {
+            "deleted_rows": _row_names(matrix, deletion_rows),
+            "elapsed_s": elapsed,
+            "splits_explored": result.nodes_explored,
+        }
+    elif result.status == "timeout":
+        tail = {"elapsed_s": elapsed}
     else:
-        status, lower_bound = result.status, result.lower_bound
-        elapsed = round(result.elapsed, 4)
-        if status == "timeout":
-            k, tail = "---", {"elapsed_s": elapsed}
-        else:
-            k = result.k
-            deletion_rows = [graph.tags[v] for v in result.deletion]
-            tail = {
-                "deleted_rows": _row_names(matrix, deletion_rows),
-                "elapsed_s": elapsed,
-                "splits_explored": result.nodes_explored,
-            }
+        tail = {"detail": f"no balanced deletion of size <= {args.max_k} exists (cap was k_max)"}
     payload = {
         "instance": path.stem,
         "n": graph.n,
-        "status": status,
-        "k": k,
-        "lower_bound": lower_bound,
+        "status": result.status,
+        "k": "---" if result.k is None else result.k,
+        "lower_bound": result.lower_bound,
         **tail,
     }
     _emit(payload, args.out, sys.stdout)

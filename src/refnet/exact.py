@@ -60,13 +60,6 @@ class OperationCancelled(RuntimeError):
     """Cooperative cancellation fired during a solve."""
 
 
-class DeletionBudgetError(RuntimeError):
-    """The solver proved every balanced deletion larger than its size cap.
-
-    Distinct from a timeout: the solver finished all permitted sizes.
-    """
-
-
 class CancelToken:
     """Set-once cancellation flag, optionally armed with a wall-clock deadline.
 
@@ -113,14 +106,15 @@ class SubdividedGraph(NamedTuple):
 class ExactResult(NamedTuple):
     """Outcome of the exact balanced-deletion solver.
 
-    ``status`` is "optimal" or "timeout".  On "optimal", removing
-    ``deletion`` balances the graph and no smaller set does (the growing
-    budget proves both).  ``lower_bound`` is proven: every balanced
-    deletion has at least that many vertices; it equals ``k`` on "optimal"
-    and on "timeout" is the budget reached or the number of vertex-disjoint
-    unbalanced cycles, whichever is larger.  ``nodes_explored`` counts the
-    nodes of the pruned split search examined across all compression steps
-    (partial splits as well as complete ones).
+    ``status`` is "optimal", "timeout" or "max-k-exhausted".  On "optimal",
+    removing ``deletion`` balances the graph and no smaller set does (the
+    growing budget proves both); on the other two, ``deletion`` and ``k``
+    are None.  ``lower_bound`` is proven: every balanced deletion has at
+    least that many vertices.  It equals ``k`` on "optimal"; otherwise it is
+    the budget reached (``k_max + 1`` on "max-k-exhausted") or the number
+    of vertex-disjoint unbalanced cycles, whichever is larger.
+    ``nodes_explored`` counts the nodes of the pruned split search examined
+    across all compression steps (partial splits as well as complete ones).
     """
 
     status: str
@@ -441,37 +435,33 @@ def mbd_exact(
     """Minimum balanced deletion by one growing-budget compression pass.
 
     The graph is compressed with ``k_max`` (default: the vertex count) as
-    its cap, and the deletion is re-verified against the graph.
-    Cancellation yields a "timeout" result carrying the proven lower bound;
-    exhausting ``k_max`` raises :class:`DeletionBudgetError`, and a negative
+    its cap, and an optimal deletion is re-verified against the graph.
+    Cancellation yields a "timeout" result and exhausting ``k_max`` a
+    "max-k-exhausted" one, each carrying the proven lower bound; a negative
     ``k_max`` raises ValueError.
     """
     started = time.perf_counter()
-    cap = graph.n if k_max is None else k_max
     stats: dict = {}
     try:
-        deletion = _balancing_transversal(graph, cap, cancel, stats)
+        deletion = _balancing_transversal(
+            graph, graph.n if k_max is None else k_max, cancel, stats
+        )
+        status = "max-k-exhausted" if deletion is None else "optimal"
     except OperationCancelled:
-        return ExactResult(
-            status="timeout",
-            deletion=None,
-            k=None,
-            lower_bound=max(stats["lower_bound"], len(disjoint_unbalanced_cycles(graph))),
-            elapsed=time.perf_counter() - started,
-            nodes_explored=stats.get("splits", 0),
-        )
+        deletion, status = None, "timeout"
     if deletion is None:
-        raise DeletionBudgetError(
-            f"no balanced deletion of size <= {cap} exists (cap was k_max)"
-        )
-    kept = [u for u in range(graph.n) if u not in deletion]
-    if not is_balanced(graph, kept).balanced:
-        raise RuntimeError("the compressed deletion left the graph unbalanced")
+        lower_bound = max(stats["lower_bound"], len(disjoint_unbalanced_cycles(graph)))
+    else:
+        kept = [u for u in range(graph.n) if u not in deletion]
+        if not is_balanced(graph, kept).balanced:
+            raise RuntimeError("the compressed deletion left the graph unbalanced")
+        deletion = frozenset(deletion)
+        lower_bound = len(deletion)
     return ExactResult(
-        status="optimal",
-        deletion=frozenset(deletion),
-        k=len(deletion),
-        lower_bound=len(deletion),
+        status=status,
+        deletion=deletion,
+        k=None if deletion is None else len(deletion),
+        lower_bound=lower_bound,
         elapsed=time.perf_counter() - started,
         nodes_explored=stats.get("splits", 0),
     )

@@ -56,10 +56,6 @@ from refnet.signed_graph import (
 STRATEGIES = ("RS", "BFS", "DFS")
 
 
-class CoverBudgetError(RuntimeError):
-    """The exact-cover sweep exhausted its budget without finding a cover."""
-
-
 class SpanningForest(NamedTuple):
     """Rooted spanning forest with per-edge signs.
 
@@ -431,10 +427,15 @@ def _pass(
     strategy: str,
     rng: random.Random | None,
     order: Sequence[int] | None,
-    independent_set: Callable[[list[list[int]]], set[int]],
+    independent_set: Callable[[list[list[int]]], set[int] | None],
     cover: str,
 ) -> HeuristicResult:
-    """Forest, switch set, negative structure, independent set, retained rows."""
+    """Forest, switch set, negative structure, independent set, retained rows.
+
+    ``independent_set`` may return None (an exact step that missed its
+    cap); the greedy step then runs on the same negative subgraph, and the
+    result's ``cover`` reads "greedy".
+    """
     started = time.perf_counter()
     strategy = strategy.upper()
     forest = _build_forest(graph, strategy, rng, order)
@@ -443,6 +444,8 @@ def _pass(
         inside[v] = True
     neg_verts, neg_adj = _negative_structure(graph, inside, order)
     independent = independent_set(neg_adj)
+    if independent is None:
+        independent, cover = greedy_independent_set(neg_adj), "greedy"
     keep = [True] * graph.n
     for v in neg_verts:
         keep[v] = False
@@ -567,19 +570,15 @@ def sga_vc(
     complement is a maximum independent set, so the retained set is never
     smaller than the greedy variant's on the same forest.  ``vc_budget``
     (default: the negative subgraph's vertex count) caps the cover size;
-    when no cover fits, :class:`CoverBudgetError` lets callers fall back to
-    greedy.
+    when no cover fits, the pass keeps the greedy independent set of the
+    same forest's negative subgraph instead, so the result is :func:`sga`'s
+    with the same ``rng``, and its ``cover`` reads "greedy".
     """
     # Imported here: the exact solver loads only when a caller asks for it.
     from refnet.exact import vertex_cover
 
-    def cover_complement(adjacency: list[list[int]]) -> set[int]:
-        budget = len(adjacency) if vc_budget is None else vc_budget
-        cover = vertex_cover(adjacency, budget)
-        if cover is None:
-            raise CoverBudgetError(
-                f"no vertex cover of size <= {budget} found within the budget"
-            )
-        return set(range(len(adjacency))) - cover
+    def cover_complement(adjacency: list[list[int]]) -> set[int] | None:
+        cover = vertex_cover(adjacency, len(adjacency) if vc_budget is None else vc_budget)
+        return None if cover is None else set(range(len(adjacency))) - cover
 
     return _pass(graph, strategy, rng, None, cover_complement, "exact")

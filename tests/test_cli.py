@@ -278,17 +278,17 @@ class TestExact:
                     "n            10\n"
                     "status       max-k-exhausted\n"
                     "k            ---\n"
-                    "lower_bound  1\n"
+                    "lower_bound  3\n"
                     "detail       no balanced deletion of size <= 0 exists (cap was k_max)\n"
                 ),
                 "json": (
                     '{\n  "instance": "pin",\n  "n": 10,\n  "status": "max-k-exhausted",\n'
-                    '  "k": "---",\n  "lower_bound": 1,\n'
+                    '  "k": "---",\n  "lower_bound": 3,\n'
                     '  "detail": "no balanced deletion of size <= 0 exists (cap was k_max)"\n}\n'
                 ),
                 "csv": (
                     "instance,n,status,k,lower_bound,detail\r\n"
-                    "pin,10,max-k-exhausted,---,1,no balanced deletion of size <= 0 exists"
+                    "pin,10,max-k-exhausted,---,3,no balanced deletion of size <= 0 exists"
                     " (cap was k_max)\r\n"
                 ),
             }),

@@ -25,7 +25,6 @@ from helpers import (
 import refnet.exact as exact_module
 from refnet.exact import (
     CancelToken,
-    DeletionBudgetError,
     OperationCancelled,
     brute_force_mbd,
     mbd_exact,
@@ -410,8 +409,20 @@ class TestMbdExact:
 
     def test_k_max_exhausted_is_distinct(self):
         g = SignedGraph.from_edges(2, [(0, 1, 1), (0, 1, -1)])
-        with pytest.raises(DeletionBudgetError):
-            mbd_exact(g, k_max=0)
+        result = mbd_exact(g, k_max=0)
+        assert result.status == "max-k-exhausted"
+        assert result.deletion is None and result.k is None
+        assert result.lower_bound == 1
+        assert result.elapsed >= 0 and result.nodes_explored >= 0
+
+    def test_k_max_exhausted_reports_the_packing_bound(self):
+        # The budget reached is k_max + 1 = 1, but two disjoint +/- pairs
+        # are two disjoint unbalanced cycles, as on a timeout.
+        g = SignedGraph.from_edges(4, [(0, 1, 1), (0, 1, -1), (2, 3, 1), (2, 3, -1)])
+        result = mbd_exact(g, k_max=0)
+        assert result.status == "max-k-exhausted"
+        assert result.lower_bound == 2
+        assert mbd_exact(g, k_max=2).k == 2
 
     def test_negative_k_max_raises(self):
         # Rejected before any work, on a balanced graph (which would need no

@@ -17,7 +17,6 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 
 EXACT_NAMES = (
     "CancelToken",
-    "DeletionBudgetError",
     "ExactResult",
     "OperationCancelled",
     "brute_force_mbd",

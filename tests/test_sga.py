@@ -15,7 +15,6 @@ from helpers import (
     switch,
 )
 from refnet.sga import (
-    CoverBudgetError,
     forest_bfs,
     forest_dfs,
     forest_rs,
@@ -380,10 +379,29 @@ class TestSgaVc:
     def test_budget_exhausted(self):
         # a parallel pair survives every switch, so the cover need is real
         g = SignedGraph.from_edges(2, [(0, 1, 1), (0, 1, -1)])
-        with pytest.raises(CoverBudgetError):
-            sga_vc(g, "DFS", vc_budget=0)
+        result = sga_vc(g, "DFS", vc_budget=0)
+        assert result.cover == "greedy"
+        assert result._replace(elapsed=0) == sga(g, "DFS")._replace(elapsed=0)
 
-    def test_matching_above_budget_raises_without_a_search(self, monkeypatch):
+    def test_budget_fallback_is_the_greedy_pass_on_the_same_forest(self):
+        # A missed cap keeps the forest the rng drew and runs greedy on it;
+        # a met cap never retains less than greedy on that forest.
+        rng = random.Random(31)
+        fallbacks = 0
+        for trial in range(60):
+            g = random_signed_graph(rng)
+            for strategy in ("DFS", "BFS", "RS"):
+                greedy = sga(g, strategy, random.Random(trial))
+                result = sga_vc(g, strategy, random.Random(trial), vc_budget=trial % 3)
+                if result.cover == "greedy":
+                    fallbacks += 1
+                    assert result._replace(elapsed=0) == greedy._replace(elapsed=0)
+                else:
+                    assert result.cover == "exact"
+                    assert len(result.retained) >= len(greedy.retained)
+        assert 0 < fallbacks < 180
+
+    def test_matching_above_budget_falls_back_without_a_search(self, monkeypatch):
         # Two disjoint +/- pairs survive every switch: matching bounds of 1 each.
         budgets = []
 
@@ -393,17 +411,16 @@ class TestSgaVc:
 
         monkeypatch.setattr(exact_module, "_cover_search", recording)
         g = SignedGraph.from_edges(4, [(0, 1, 1), (0, 1, -1), (2, 3, 1), (2, 3, -1)])
-        with pytest.raises(CoverBudgetError):
-            sga_vc(g, "DFS", vc_budget=1)
+        assert sga_vc(g, "DFS", vc_budget=1).cover == "greedy"
         assert budgets == []
 
     def test_slack_is_shared_between_components(self):
         # Each triangle of +/- pairs has a matching of 1 and a minimum cover
         # of 2, so the two together need a budget of 4.
         g = disjoint_pm_triangles(2)
-        with pytest.raises(CoverBudgetError):
-            sga_vc(g, "DFS", vc_budget=3)
-        assert sga_vc(g, "DFS", vc_budget=4).k == 4
+        assert sga_vc(g, "DFS", vc_budget=3).cover == "greedy"
+        result = sga_vc(g, "DFS", vc_budget=4)
+        assert result.cover == "exact" and result.k == 4
 
     def test_components_are_not_restarted_together(self, monkeypatch):
         # A sweep over the whole negative subgraph proves each size
